@@ -25,7 +25,7 @@ object Fig12 {
         val sq = Shredder.shred("OUT", q)
         var shredCat: Map[String, DataFrame] = cat
         out += measure(spark, "Fig12", cfg, "Shred") {
-          shredCat = Fig7.runShred(sq, cat)
+          shredCat = Routes.run(sq.program, cat, each = (_, df) => materialize(df))
         }
         out += measure(spark, "Fig12", cfg, "Unshred") {
           force(Unshredder.unshred("OUT", sq.outTpe, shredCat))

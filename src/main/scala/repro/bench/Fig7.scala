@@ -3,10 +3,9 @@ package repro.bench
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baseline.SparkSQLBaseline
 import repro.core.exec.Routes
-import repro.core.plan.Optimizer
 import repro.data.NestedTpch
 import repro.queries.TpchQueries
-import repro.shred.{ShredPipeline, Shredder, Unshredder}
+import repro.shred.{Shredder, Unshredder}
 import Harness._
 
 /** Fig. 7 — the nested TPC-H micro-benchmark: flat-to-nested,
@@ -15,25 +14,10 @@ import Harness._
   *
   * As in the paper, nested-to-* queries read the materialized *wide*
   * flat-to-nested output (narrow queries then exercise projection pushing),
-  * and reported runtimes start after inputs are cached.
+  * and reported runtimes start after inputs are cached. Shred materializes
+  * every shredded assignment (dictionary); Unshred reads that catalog.
   */
 object Fig7 {
-
-  /** Run the shredded pipeline, materializing every assignment (dictionary)
-    * — the paper's SHRED measurement; returns the materialized catalog for a
-    * subsequent unshred measurement.
-    */
-  def runShred(sq: Shredder.ShreddedQuery, catalog: Map[String, DataFrame],
-               optimize: repro.core.plan.Plan => repro.core.plan.Plan = Optimizer.full)
-      : Map[String, DataFrame] = {
-    var cat = catalog
-    val pipe = new ShredPipeline(optimize)
-    for (a <- sq.assignments) {
-      val df = pipe.run(Shredder.ShreddedQuery(sq.name, sq.outTpe, Seq(a)), cat)(a.name)
-      cat = cat + (a.name -> materialize(df))
-    }
-    cat
-  }
 
   def unpersistOutputs(sq: Shredder.ShreddedQuery, cat: Map[String, DataFrame]): Unit =
     sq.assignments.foreach(a => cat.get(a.name).foreach(_.unpersist()))
@@ -67,7 +51,7 @@ object Fig7 {
           val sq = Shredder.shred("OUT", q)
           var shredCat: Map[String, DataFrame] = flatCat
           out += measure(spark, tableName, cfg, "Shred") {
-            shredCat = runShred(sq, flatCat)
+            shredCat = Routes.run(sq.program, flatCat, each = (_, df) => materialize(df))
           }
           out += measure(spark, tableName, cfg, "Unshred") {
             force(Unshredder.unshred("OUT", sq.outTpe, shredCat))
@@ -104,7 +88,7 @@ object Fig7 {
           val sq = Shredder.shred("OUT", q)
           var shredCat: Map[String, DataFrame] = cat
           out += measure(spark, tableName, cfg, "Shred") {
-            shredCat = runShred(sq, cat)
+            shredCat = Routes.run(sq.program, cat, each = (_, df) => materialize(df))
           }
           if (family == "nested-to-nested") {
             out += measure(spark, tableName, cfg, "Unshred") {

@@ -2,7 +2,7 @@ package repro.bench
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baseline.SparkSQLBaseline
-import repro.core.exec.{Routes, SparkExecutor}
+import repro.core.exec.Routes
 import repro.core.plan.Optimizer
 import repro.data.NestedTpch
 import repro.queries.TpchQueries
@@ -56,18 +56,13 @@ object Fig8 {
       val sq = Shredder.shred("OUT", q)
       var c1: Map[String, DataFrame] = cat
       out += measure(spark, table, cfg, "Shred") {
-        c1 = Fig7.runShred(sq, cat, optUnaware)
+        c1 = Routes.run(sq.program, cat, optUnaware, each = (_, df) => materialize(df))
       }
       Fig7.unpersistOutputs(sq, c1)
       var c2: Map[String, DataFrame] = cat
       out += measure(spark, table, cfg, "Shred_skew") {
-        var acc = cat
-        val pipe = new repro.shred.ShredPipeline(optAware, SkewOps.skewJoin(skewCfg))
-        for (a <- sq.assignments) {
-          val df = pipe.run(Shredder.ShreddedQuery(sq.name, sq.outTpe, Seq(a)), acc)(a.name)
-          acc = acc + (a.name -> materialize(df))
-        }
-        c2 = acc
+        c2 = Routes.run(sq.program, cat, optAware, SkewOps.skewJoin(skewCfg),
+          (_, df) => materialize(df))
       }
       Fig7.unpersistOutputs(sq, c2)
 

@@ -5,7 +5,7 @@ import repro.baseline.SparkSQLBaseline
 import repro.core.exec.Routes
 import repro.data.BioData
 import repro.queries.BioQueries
-import repro.shred.{ShredPipeline, Shredder}
+import repro.shred.Shredder
 import Harness._
 
 /** Fig. 9 — the biomedical E2E pipeline, Steps 1–5, for SparkSQL (Steps 1–2,
@@ -55,16 +55,8 @@ object Fig9 {
     val shOuts = Seq.newBuilder[DataFrame]
     for ((a, i) <- steps.zipWithIndex) {
       out += measure(spark, "Fig9", s"Step${i + 1}", "Shred") {
-        val sq = Shredder.shred(a.name, a.expr)
-        val pipe = new ShredPipeline(repro.core.plan.Optimizer.full)
-        var acc = shCat
-        for (asg <- sq.assignments) {
-          val df = materialize(
-            pipe.run(Shredder.ShreddedQuery(sq.name, sq.outTpe, Seq(asg)), acc)(asg.name))
-          acc = acc + (asg.name -> df)
-          shOuts += df
-        }
-        shCat = acc
+        shCat = Routes.run(Shredder.shred(a.name, a.expr).program, shCat,
+          each = (_, df) => { val m = materialize(df); shOuts += m; m })
       }
     }
     shOuts.result().foreach(_.unpersist())

@@ -1,5 +1,6 @@
 package repro.bench
 
+import java.util.concurrent.TimeoutException
 import java.util.concurrent.atomic.AtomicLong
 import scala.concurrent.{Await, Future}
 import scala.concurrent.duration._
@@ -36,28 +37,39 @@ object Harness {
 
   def timeoutSeconds: Int = sys.env.getOrElse("BENCH_TIMEOUT_S", "300").toInt
 
-  /** Time `action` (which must force its own computation); capture shuffle. */
+  /** Time `action` (which must force its own computation); capture shuffle.
+    * The action's jobs carry this call's job tag: the tag is set on the
+    * thread that runs the action, so a pooled thread never carries an
+    * earlier call's tag, and a timeout cancels exactly this call's jobs.
+    */
   def measure(spark: SparkSession, table: String, config: String, strategy: String)
              (action: => Unit): Result = {
+    val sc = spark.sparkContext
     val listener = new ShuffleListener
-    spark.sparkContext.addSparkListener(listener)
-    val group = s"$table/$config/$strategy"
-    spark.sparkContext.setJobGroup(group, group, interruptOnCancel = true)
+    sc.addSparkListener(listener)
+    val tag = s"$table/$config/$strategy"
     val t0 = System.nanoTime()
-    val outcome = Try {
-      val fut = Future(action)
-      Await.result(fut, timeoutSeconds.seconds)
+    val fut = Future {
+      sc.setInterruptOnCancel(true)
+      sc.addJobTag(tag)
+      try action finally sc.removeJobTag(tag)
     }
+    val outcome = Try(Await.result(fut, timeoutSeconds.seconds))
     val ms = (System.nanoTime() - t0) / 1000000
-    spark.sparkContext.clearJobGroup()
+    // Timed out: cancel this call's jobs until the run ends, so its shuffle
+    // bytes are not billed to the next row. A job the action starts after
+    // one cancellation is cancelled on the next pass.
+    while (!fut.isCompleted) {
+      sc.cancelJobsWithTag(tag)
+      Try(Await.ready(fut, 1.second))
+    }
     // Let straggler stage-completion events drain before reading the total.
     Thread.sleep(100)
-    spark.sparkContext.removeSparkListener(listener)
+    sc.removeSparkListener(listener)
     val mb = listener.bytes.get() / 1e6
     outcome match {
       case Success(_) => Result(table, config, strategy, ms, mb, ok = true)
-      case Failure(e: java.util.concurrent.TimeoutException) =>
-        spark.sparkContext.cancelJobGroup(group)
+      case Failure(_: TimeoutException) =>
         Result(table, config, strategy, ms, mb, ok = false, note = s"timeout ${timeoutSeconds}s")
       case Failure(e) =>
         Result(table, config, strategy, ms, mb, ok = false,

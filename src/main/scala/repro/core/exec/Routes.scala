@@ -3,16 +3,16 @@ package repro.core.exec
 import org.apache.spark.sql.DataFrame
 import repro.core.NRC.{Expr, Program}
 import repro.core.plan.{Optimizer, Plan, Unnester}
-import repro.shred.{ShredPipeline, Shredder, Unshredder}
 
 /** Façade over the two compilation routes, for tests, jobs and benchmarks.
   *
-  * `standardProgram` materializes each assignment as a (possibly nested)
-  * DataFrame and threads it into the catalog; `shredProgram` shreds each
-  * assignment — because outputs follow the `__F`/`__D_` naming convention,
-  * a later step's navigation of an earlier step's output resolves to the
-  * earlier step's materialized dictionaries automatically (the pipeline
-  * composition the paper's sequential strategy is designed for).
+  * Both routes run through [[run]]. The standard route runs the program
+  * itself; the shredded route runs the program of its shredded assignments
+  * (`Shredder.shred` of each assignment, in order). Because shredded outputs
+  * follow the `__F`/`__D_` naming convention, a later step's navigation of an
+  * earlier step's output resolves to the earlier step's materialized
+  * dictionaries automatically (the pipeline composition the paper's
+  * sequential strategy is designed for).
   */
 object Routes {
 
@@ -22,46 +22,16 @@ object Routes {
                joinImpl: SparkExecutor.JoinImpl = SparkExecutor.defaultJoin): DataFrame =
     new SparkExecutor(catalog, joinImpl).execute(optimize(Unnester.compile(q)))
 
-  def standardProgram(p: Program, catalog: Map[String, DataFrame],
-                      optimize: Plan => Plan = Optimizer.full,
-                      joinImpl: SparkExecutor.JoinImpl = SparkExecutor.defaultJoin)
-      : Map[String, DataFrame] = {
-    var cat = catalog
-    var out = Map.empty[String, DataFrame]
-    for (a <- p.assignments) {
-      val df = standard(a.expr, cat, optimize, joinImpl)
-      out = out + (a.name -> df)
-      cat = cat + (a.name -> df)
-    }
-    out
-  }
-
-  /** Shredded route (§4) for one query; returns all shredded components. */
-  def shred(name: String, q: Expr, catalog: Map[String, DataFrame],
-            optimize: Plan => Plan = Optimizer.full,
-            joinImpl: SparkExecutor.JoinImpl = SparkExecutor.defaultJoin)
-      : (Shredder.ShreddedQuery, Map[String, DataFrame]) = {
-    val sq = Shredder.shred(name, q)
-    (sq, new ShredPipeline(optimize, joinImpl).run(sq, catalog))
-  }
-
-  /** Shredded route over a whole pipeline; outputs stay shredded and feed
-    * later steps through the naming convention.
+  /** Run each assignment of `p` in order against the catalog built so far.
+    * Each output passes through `each` (which may return it as is,
+    * materialize it or record it) before it joins the catalog; returns the
+    * catalog extended with every output.
     */
-  def shredProgram(p: Program, catalog: Map[String, DataFrame],
-                   optimize: Plan => Plan = Optimizer.full,
-                   joinImpl: SparkExecutor.JoinImpl = SparkExecutor.defaultJoin)
-      : Map[String, DataFrame] = {
-    var cat = catalog
-    val pipe = new ShredPipeline(optimize, joinImpl)
-    for (a <- p.assignments) {
-      val sq = Shredder.shred(a.name, a.expr)
-      cat = pipe.run(sq, cat)
+  def run(p: Program, catalog: Map[String, DataFrame],
+          optimize: Plan => Plan = Optimizer.full,
+          joinImpl: SparkExecutor.JoinImpl = SparkExecutor.defaultJoin,
+          each: (String, DataFrame) => DataFrame = (_, df) => df): Map[String, DataFrame] =
+    p.assignments.foldLeft(catalog) { (cat, a) =>
+      cat + (a.name -> each(a.name, standard(a.expr, cat, optimize, joinImpl)))
     }
-    cat
-  }
-
-  /** Unshred the named output of a `shredProgram` run. */
-  def unshredOutput(p: Program, name: String, cat: Map[String, DataFrame]): DataFrame =
-    Unshredder.unshred(name, p(name).expr.asBag, cat)
 }

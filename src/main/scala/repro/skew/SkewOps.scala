@@ -22,10 +22,7 @@ final case class SkewConfig(
     seed: Long = 42)
 
 /** A bag split by heavy keys: the paper's skew-triple. */
-final case class SkewTriple(light: DataFrame, heavy: DataFrame, heavyKeys: Seq[Seq[Any]]) {
-  /** The underlying bag (Γ operators merge components; Fig. 6). */
-  def unioned: DataFrame = if (heavyKeys.isEmpty) light else light.unionByName(heavy)
-}
+final case class SkewTriple(light: DataFrame, heavy: DataFrame, heavyKeys: Seq[Seq[Any]])
 
 object SkewOps {
 
@@ -34,7 +31,9 @@ object SkewOps {
     val sample = df.select(keys.map(col): _*).sample(withReplacement = false, cfg.sampleFraction, cfg.seed)
     val counts = sample.groupBy(keys.map(col): _*).count().persist()
     try {
-      val total = counts.agg(sum("count")).collect()(0).getLong(0)
+      // The sum is NULL when the sample is empty: then no key is heavy.
+      val sumRow = counts.agg(sum("count")).collect()(0)
+      val total = if (sumRow.isNullAt(0)) 0L else sumRow.getLong(0)
       if (total == 0) return Seq.empty
       val cutoff = math.max(1L, (cfg.threshold * total).toLong)
       counts.filter(col("count") >= cutoff)
@@ -54,7 +53,7 @@ object SkewOps {
     hk.map(t => keys.zip(t).map { case (k, v) => col(k) === lit(v) }.reduce(_ && _))
       .reduce(_ || _)
 
-  /** Split a bag into its skew-triple given (or detecting) heavy keys. */
+  /** Split a bag into its skew-triple given its heavy keys. */
   def split(df: DataFrame, keys: Seq[String], hk: Seq[Seq[Any]]): SkewTriple =
     if (hk.isEmpty) SkewTriple(df, df.limit(0), Seq.empty)
     else {
@@ -63,9 +62,6 @@ object SkewOps {
       val m = coalesce(keyMatch(keys, hk), lit(false))
       SkewTriple(df.filter(!m), df.filter(m), hk)
     }
-
-  def toTriple(df: DataFrame, keys: Seq[String], cfg: SkewConfig = SkewConfig()): SkewTriple =
-    split(df, keys, heavyKeys(df, keys, cfg))
 
   /** Skew-aware join (Fig. 6): the light components shuffle-join; the heavy
     * component of the (larger) left side stays in place and the matching
@@ -88,14 +84,4 @@ object SkewOps {
         }
       }
     }
-
-  /** Skew-aware BagToDict (Fig. 6): repartition only the light labels; heavy
-    * labels keep their current distribution.
-    */
-  def bagToDict(df: DataFrame, labelCol: String = repro.shred.ShredTypes.LabelCol,
-                cfg: SkewConfig = SkewConfig()): SkewTriple = {
-    val hk = heavyKeys(df, Seq(labelCol), cfg)
-    val t  = split(df, Seq(labelCol), hk)
-    t.copy(light = t.light.repartition(col(labelCol)))
-  }
 }

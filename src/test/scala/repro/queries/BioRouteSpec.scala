@@ -1,8 +1,13 @@
 package repro.queries
 
+import org.apache.spark.sql.{DataFrame, classic}
+import org.apache.spark.sql.catalyst.plans.logical.SubqueryAlias
 import repro.{SparkSpec, TestUtil}
+import repro.core.NRC
+import repro.core.NRC.Program
 import repro.core.exec.Routes
 import repro.data.BioData
+import repro.shred.{Shredder, Unshredder}
 
 /** Correctness of the biomedical pipeline and clinical queries across the
   * standard route, the shredded route and the LocalEval reference.
@@ -14,6 +19,10 @@ class BioRouteSpec extends SparkSpec {
   private lazy val local = TestUtil.toLocal(
     catalog.view.filterKeys(k => !k.contains("__")).toMap)
 
+  /** The shredded route's program: every assignment of `p`, shredded. */
+  private def shredded(p: Program): Program =
+    Program(p.assignments.flatMap(a => Shredder.shred(a.name, a.expr).assignments))
+
   test("bio generators are deterministic and non-empty") {
     assert(t.samples.count() > 0 && t.occurrences.count() > 0)
     assert(t.network.count() > 0 && t.soImpact.count() == 20)
@@ -22,7 +31,6 @@ class BioRouteSpec extends SparkSpec {
   }
 
   test("shredded Occurrences components unshred to the nested Occurrences") {
-    import repro.shred.Unshredder
     val renamed = t.occurrencesShredded.map { case (k, v) => k.replace("Occurrences", "RT") -> v }
     val back = Unshredder.unshred("RT", BioData.occurrencesTpe, renamed)
     TestUtil.assertBagEq(back, t.occurrences)
@@ -45,8 +53,8 @@ class BioRouteSpec extends SparkSpec {
       TestUtil.assertBagEq(Routes.standard(q, catalog), TestUtil.localEval(q, local), name)
     }
     test(s"$name: shredded route matches the standard route") {
-      val (sq, out) = Routes.shred("OUT", q, catalog)
-      val nested = repro.shred.Unshredder.unshred("OUT", sq.outTpe, out)
+      val sq = Shredder.shred("OUT", q)
+      val nested = Unshredder.unshred("OUT", sq.outTpe, Routes.run(sq.program, catalog))
       TestUtil.assertBagEq(nested, Routes.standard(q, catalog))
     }
   }
@@ -54,18 +62,54 @@ class BioRouteSpec extends SparkSpec {
   test("E2E pipeline: standard route matches LocalEval step by step") {
     val localOut = repro.core.LocalEval.evalProgram(BioQueries.e2e,
       repro.core.LocalEval.Env(Map.empty[String, Any], local))
-    val sparkOut = Routes.standardProgram(BioQueries.e2e, catalog)
+    val sparkOut = Routes.run(BioQueries.e2e, catalog)
     for (step <- Seq("HybridMatrix", "SampleNetwork", "EffectMatrix", "ConnectMatrix", "Connectivity"))
       TestUtil.assertBagEq(sparkOut(step), localOut(step), step)
   }
 
   test("E2E pipeline: shredded route matches the standard route end-to-end") {
-    val std = Routes.standardProgram(BioQueries.e2e, catalog)
-    val cat = Routes.shredProgram(BioQueries.e2e, catalog)
+    val std = Routes.run(BioQueries.e2e, catalog)
+    val cat = Routes.run(shredded(BioQueries.e2e), catalog)
     // Final output is flat: Connectivity__F is the whole result.
     TestUtil.assertBagEq(cat("Connectivity__F"), std("Connectivity"))
     // An intermediate nested output reassembles identically.
-    val hm = Routes.unshredOutput(BioQueries.e2e, "HybridMatrix", cat)
+    val hm = Unshredder.unshred("HybridMatrix", BioQueries.e2e("HybridMatrix").expr.asBag, cat)
     TestUtil.assertBagEq(hm, std("HybridMatrix"))
   }
+
+  test("E2E pipeline: the runner feeds each shredded assignment its predecessors' outputs") {
+    val p = shredded(BioQueries.e2e)
+    val names = p.assignments.map(_.name)
+    assert(names.size == 12)
+    // `each` records the outputs the assignment read (by the aliases it
+    // gave earlier outputs) and returns its output under an alias of its own.
+    val calls = Seq.newBuilder[(String, Set[String], DataFrame)]
+    val cat = Routes.run(p, catalog, each = (n, df) => {
+      val out = df.as(n)
+      calls += ((n, aliasesRead(df).filter(names.contains), out))
+      out
+    })
+    val seen = calls.result()
+    // Once per assignment, in Shredder order: a step's top bag before its
+    // dictionaries, and a dictionary's label domain before the dictionary.
+    assert(seen.map(_._1) == names)
+    for ((n, j) <- names.zipWithIndex if n.contains("__D_")) {
+      assert(names.indexOf(n.take(n.indexOf("__D_")) + "__F") < j, n)
+      if (names.contains(n + "__dom")) assert(names.indexOf(n + "__dom") < j, n)
+    }
+    // Each assignment read its predecessors' outputs as `each` returned
+    // them, and only earlier outputs; the catalog holds what `each` returned.
+    for (((n, read, out), j) <- seen.zipWithIndex) {
+      assert(NRC.inputs(p(n).expr).filter(names.contains).subsetOf(read), n)
+      assert(read.subsetOf(names.take(j).toSet), n)
+      assert(cat(n) eq out, n)
+    }
+    // Recording changes no result.
+    val plain = Routes.run(p, catalog)
+    names.foreach(n => TestUtil.assertBagEq(cat(n), plain(n)))
+  }
+
+  private def aliasesRead(df: DataFrame): Set[String] =
+    df.asInstanceOf[classic.Dataset[_]].queryExecution.analyzed
+      .collect { case a: SubqueryAlias => a.alias }.toSet
 }

@@ -1,9 +1,10 @@
 package repro.shred
 
+import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestData, TestUtil}
 import repro.core.SparkValues
-import repro.core.plan.Unnester
-import repro.core.exec.SparkExecutor
+import repro.core.plan.{Optimizer, Unnester}
+import repro.core.exec.{Routes, SparkExecutor}
 import repro.data.NestedTpch
 import repro.queries.TpchQueries
 
@@ -16,9 +17,15 @@ class ShredRouteSpec extends SparkSpec {
   private lazy val t       = TestData.tables(spark)
   private lazy val catalog = TestData.flatCatalog(t)
   private lazy val local   = TestUtil.toLocal(catalog)
-  private lazy val pipe    = new ShredPipeline()
 
-  private def standard(q: repro.core.NRC.Expr, cat: Map[String, org.apache.spark.sql.DataFrame]) =
+  /** The shredded route on unoptimized plans: every assignment of `sq`. */
+  private def shredRoute(sq: Shredder.ShreddedQuery, cat: Map[String, DataFrame]) =
+    Routes.run(sq.program, cat, Optimizer.none)
+
+  private def shredUnshred(sq: Shredder.ShreddedQuery, cat: Map[String, DataFrame]) =
+    Unshredder.unshred(sq.name, sq.outTpe, shredRoute(sq, cat))
+
+  private def standard(q: repro.core.NRC.Expr, cat: Map[String, DataFrame]) =
     new SparkExecutor(cat).execute(Unnester.compile(q))
 
   // ------------------------------------------------------- flat-to-nested
@@ -28,7 +35,7 @@ class ShredRouteSpec extends SparkSpec {
     test(s"flat-to-nested $tag: shred+unshred matches LocalEval") {
       val q  = TpchQueries.flatToNested(level, wide)
       val sq = Shredder.shred("OUT", q)
-      val df = pipe.runNested(sq, catalog)
+      val df = shredUnshred(sq, catalog)
       TestUtil.assertBagEq(df, TestUtil.localEval(q, local), tag)
     }
   }
@@ -42,7 +49,7 @@ class ShredRouteSpec extends SparkSpec {
       val name = NestedTpch.inputName(level, wide)
       val nested = NestedTpch.nestedInput(t, level, wide)
       val shredded = NestedTpch.shreddedInput(t, level, wide)
-      val df = pipe.runNested(Shredder.shred("OUT", q), catalog ++ shredded)
+      val df = shredUnshred(Shredder.shred("OUT", q), catalog ++ shredded)
       TestUtil.assertBagEq(df, standard(q, catalog + (name -> nested)))
     }
   }
@@ -50,7 +57,7 @@ class ShredRouteSpec extends SparkSpec {
   test("nested-to-nested level 2 narrow: shredded components match LocalEval per level") {
     val q = TpchQueries.nestedToNested(2, wide = false)
     val sq = Shredder.shred("OUT", q)
-    val out = pipe.run(sq, catalog ++ NestedTpch.shreddedInput(t, 2, wide = false))
+    val out = shredRoute(sq, catalog ++ NestedTpch.shreddedInput(t, 2, wide = false))
     // Lowest dictionary: localized join+aggregate over (label, p_name).
     val loc = TestUtil.localEval(sq.program("OUT__D_corders_oparts").expr,
       TestUtil.toLocal(catalog ++ NestedTpch.shreddedInput(t, 2, wide = false)))
@@ -67,7 +74,7 @@ class ShredRouteSpec extends SparkSpec {
       val nested = NestedTpch.nestedInput(t, level, wide)
       val shredded = NestedTpch.shreddedInput(t, level, wide)
       val sq = Shredder.shred("OUT", q)
-      val out = pipe.run(sq, catalog ++ shredded)(sq.topAssignment.name)
+      val out = shredRoute(sq, catalog ++ shredded)(sq.topAssignment.name)
       TestUtil.assertBagEq(out, standard(q, catalog + (name -> nested)))
     }
   }
@@ -97,7 +104,7 @@ class ShredRouteSpec extends SparkSpec {
     // values) the natural-key shredded input; here labels coincide because
     // domain elimination picks the same natural keys.
     val sq = Shredder.shred("OUT", TpchQueries.flatToNested(2, wide = false))
-    val out = pipe.run(sq, catalog)
+    val out = shredRoute(sq, catalog)
     val expect = NestedTpch.shreddedInput(t, 2, wide = false)
     TestUtil.assertBagEq(out("OUT__F"), expect("COP2n__F"))
     TestUtil.assertBagEq(out("OUT__D_corders"), expect("COP2n__D_corders"))
@@ -119,7 +126,7 @@ class ShredRouteSpec extends SparkSpec {
       "X" -> Seq(1L, 2L, 2L).toDF("k"),
       "Y" -> Seq(10L, 20L).toDF("v"))
     val sq = Shredder.shred("OUT", q)
-    val df = pipe.runNested(sq, cat)
+    val df = shredUnshred(sq, cat)
     TestUtil.assertBagEq(df, TestUtil.localEval(q, TestUtil.toLocal(cat)))
   }
 }

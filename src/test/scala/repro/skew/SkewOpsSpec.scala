@@ -1,8 +1,8 @@
 package repro.skew
 
 import repro.{SparkSpec, SynthData, TestData, TestUtil}
-import repro.core.exec.SparkExecutor
-import repro.core.plan.Unnester
+import repro.core.exec.{Routes, SparkExecutor}
+import repro.core.plan.{Optimizer, Unnester}
 import repro.data.NestedTpch
 import repro.queries.TpchQueries
 
@@ -28,9 +28,9 @@ class SkewOpsSpec extends SparkSpec {
 
   test("split partitions the bag exactly") {
     val df = SynthData.zipfKeys(spark, rows = 5000, nKeys = 100, alpha = 1.3)
-    val t  = SkewOps.toTriple(df, Seq("k"), cfg)
+    val t  = SkewOps.split(df, Seq("k"), SkewOps.heavyKeys(df, Seq("k"), cfg))
+    assert(t.heavyKeys.nonEmpty)
     assert(t.light.count() + t.heavy.count() == df.count())
-    assert(t.unioned.count() == df.count())
     // Heavy component contains only heavy keys, light none of them.
     val hkSet = t.heavyKeys.map(_.head).toSet
     assert(t.heavy.select("k").distinct().collect().forall(r => hkSet(r.get(0))))
@@ -65,12 +65,20 @@ class SkewOpsSpec extends SparkSpec {
       SparkExecutor.defaultJoin(l, r, Seq("k"), Seq("k2"), false))
   }
 
-  test("bagToDict keeps heavy labels unshuffled and all tuples present") {
-    val df = SynthData.zipfKeys(spark, rows = 5000, nKeys = 50, alpha = 1.4)
-      .withColumnRenamed("k", "label")
-    val t = SkewOps.bagToDict(df, cfg = cfg)
-    assert(t.unioned.count() == df.count())
-    assert(t.heavyKeys.nonEmpty)
+  test("no heavy keys when the sample is empty") {
+    val empty = SynthData.uniformKeys(spark, rows = 100, nKeys = 10).limit(0)
+    assert(SkewOps.heavyKeys(empty, Seq("k"), cfg) == Seq.empty)
+  }
+
+  test("skew-aware join equals the plain join when the sample is empty") {
+    import spark.implicits._
+    val l = Seq((1L, 10L), (2L, 20L)).toDF("k", "v")
+    val r = Seq((1L, 100L)).toDF("k2", "w")
+    val tiny = SkewConfig(sampleFraction = 0.0001)
+    for (outer <- Seq(false, true))
+      TestUtil.assertBagEq(
+        SkewOps.skewJoin(tiny)(l, r, Seq("k"), Seq("k2"), outer),
+        SparkExecutor.defaultJoin(l, r, Seq("k"), Seq("k2"), outer))
   }
 
   test("standard route with skew-aware joins preserves results end-to-end") {
@@ -92,10 +100,9 @@ class SkewOpsSpec extends SparkSpec {
     val q = TpchQueries.nestedToFlat(2, wide = false)
     val sq = repro.shred.Shredder.shred("OUT", q)
     val shredded = NestedTpch.shreddedInput(t, 2, wide = false)
-    val base = new repro.shred.ShredPipeline().run(sq, catalog ++ shredded)(sq.topAssignment.name)
-    val skew = new repro.shred.ShredPipeline(
-      joinImpl = SkewOps.skewJoin(SkewConfig(sampleFraction = 1.0)))
-      .run(sq, catalog ++ shredded)(sq.topAssignment.name)
+    val base = Routes.run(sq.program, catalog ++ shredded, Optimizer.none)(sq.topAssignment.name)
+    val skew = Routes.run(sq.program, catalog ++ shredded, Optimizer.none,
+      SkewOps.skewJoin(SkewConfig(sampleFraction = 1.0)))(sq.topAssignment.name)
     TestUtil.assertBagEq(skew, base)
   }
 }
