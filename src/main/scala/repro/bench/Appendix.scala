@@ -62,11 +62,7 @@ object E4 {
       }
       if (level >= 1) {
         val nested = materialize(NestedTpch.nestedInput(t, level, wide = true))
-        val shredded = NestedTpch.shreddedInput(t, level, wide = true).map {
-          case (k, v) => k.replace(NestedTpch.inputName(level, wide = true),
-            NestedTpch.inputName(level, wide)) -> v
-        }
-        val cat = flatCat + (NestedTpch.inputName(level, wide) -> nested) ++ shredded
+        val cat = flatCat + (NestedTpch.inputName(level, wide) -> nested)
         for (opt <- 0 to 2) {
           val strat = Seq("Std(no opt)", "Std(proj)", "Std(full)")(opt)
           out += measure(spark, "E4", s"nested-to-nested L$level $w", strat) {

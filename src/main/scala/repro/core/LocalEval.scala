@@ -83,8 +83,6 @@ object LocalEval {
     case NewLabelE(args) =>
       val vs = args.map(eval(_, env))
       if (vs.size == 1) vs.head else hashLabel(vs)
-    case LookupE(_, _) =>
-      sys.error("LookupE must be eliminated by materialization before evaluation")
   }
 
   /** Deterministic 64-bit combination of label components; mirrors the Spark

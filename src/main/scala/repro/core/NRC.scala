@@ -15,12 +15,6 @@ object NRC {
   /** A bound variable with its type. */
   final case class VarDef(name: String, tpe: Tpe)
 
-  /** Reference to a dictionary, opaque at this layer; the shredder supplies
-    * symbolic dictionaries and the materializer resolves them away before
-    * compilation, so executable programs never contain `LookupE`.
-    */
-  trait DictRef { def elemTpe: TupleTpe }
-
   sealed trait Expr {
     def tpe: Tpe
     def asBag: BagTpe = tpe match {
@@ -176,14 +170,6 @@ object NRC {
     val tpe: ScalarTpe = LabelTpe
   }
 
-  /** Symbolic dictionary lookup — only present between shredding and
-    * materialization; the materializer replaces each occurrence with either a
-    * β-reduction (λ-dicts) or a label equi-join (materialized dicts).
-    */
-  final case class LookupE(dict: DictRef, label: Expr) extends Expr {
-    val tpe: BagTpe = BagTpe(dict.elemTpe)
-  }
-
   // ------------------------------------------------------------- programs
 
   /** One assignment `name ⇐ expr` of a program. */
@@ -236,7 +222,6 @@ object NRC {
     case GroupByE(x, _, _)  => Seq(x)
     case SumByE(x, _, _)    => Seq(x)
     case NewLabelE(as)      => as
-    case LookupE(_, l)      => Seq(l)
   }
 
   /** Capture-avoiding substitution of variable `name` by `repl` in `e`.
@@ -275,18 +260,11 @@ object NRC {
     case GroupByE(x, k, g)  => GroupByE(f(x), k, g)
     case SumByE(x, k, v)    => SumByE(f(x), k, v)
     case NewLabelE(as)      => NewLabelE(as.map(f))
-    case LookupE(d, l)      => LookupE(d, f(l))
   }
 
   /** Inline every `let` binding (used by the materializer's Normalize step). */
   def inlineLets(e: Expr): Expr = e match {
     case Let(x, v, b) => inlineLets(subst(b, x.name, inlineLets(v)))
     case _            => mapChildren(e, inlineLets)
-  }
-
-  /** Rename every `InputBag(from)` to `InputBag(to)` (same type). */
-  def renameInput(e: Expr, from: String, to: String): Expr = e match {
-    case InputBag(n, t) if n == from => InputBag(to, t)
-    case _ => mapChildren(e, renameInput(_, from, to))
   }
 }

@@ -98,46 +98,51 @@ object Optimizer {
     case UnionP(l, _)         => colsOf(l)
   }
 
-  private var ctr = 0
-  private def fresh(): String = { ctr += 1; s"__pa_$ctr" }
-
-  private def pushAgg(p: Plan): Plan = p match {
-    case ns @ NestSum(child, group, Seq((out, v))) =>
-      val (base, mapping) = resolveThroughProjects(child)
-      base match {
-        case Join(l, r, lk, rk, joinOuter) =>
-          val groupInner = group.map(g => mapping.getOrElse(g, ColRef(g)))
-          val vInner     = substVal(v, mapping)
-          if (!groupInner.forall(_.isInstanceOf[ColRef]))
-            return mapChildrenPlan(ns, pushAgg)
-          val gInner = groupInner.map { case ColRef(n) => n; case _ => sys.error("unreachable") }
-          def restore(inner: Plan): Plan =
-            Project(inner, group.zip(gInner).map { case (g, n) => g -> (ColRef(n): ValExpr) } :+
-              (out -> (ColRef(out): ValExpr)))
-          val (lc, rc) = (colsOf(l), colsOf(r))
-          if (vInner.cols.nonEmpty && vInner.cols.subsetOf(rc) && !joinOuter) {
-            // The summed expression lives entirely on the right side:
-            // pre-aggregate it below the join — this is what localizes the
-            // aggregation onto the lowest dictionary in shredded
-            // nested-to-flat chains (§4.6).
-            val rGroup = (gInner.filter(rc) ++ rk).distinct
-            val tmp    = fresh()
-            val rAgg   = pushAgg(NestSum(r, rGroup, Seq(tmp -> vInner)))
-            restore(NestSum(Join(l, rAgg, lk, rk, joinOuter), gInner, Seq(out -> ColRef(tmp))))
-          } else factor(vInner, lc, rc) match {
-            case Some((lExpr, rExpr)) =>
-              val lGroup = (gInner.filter(lc) ++ lk).distinct
+  /** Aggregation pushing. Partial-sum columns are numbered per call, so a
+    * plan's rewrite does not depend on the rewrites made before it.
+    */
+  private def pushAgg(p: Plan): Plan = {
+    var ctr = 0
+    def fresh(): String = { ctr += 1; s"__pa_$ctr" }
+    def push(p: Plan): Plan = p match {
+      case ns @ NestSum(child, group, Seq((out, v))) =>
+        val (base, mapping) = resolveThroughProjects(child)
+        base match {
+          case Join(l, r, lk, rk, joinOuter) =>
+            val groupInner = group.map(g => mapping.getOrElse(g, ColRef(g)))
+            val vInner     = substVal(v, mapping)
+            if (!groupInner.forall(_.isInstanceOf[ColRef]))
+              return mapChildrenPlan(ns, push)
+            val gInner = groupInner.map { case ColRef(n) => n; case _ => sys.error("unreachable") }
+            def restore(inner: Plan): Plan =
+              Project(inner, group.zip(gInner).map { case (g, n) => g -> (ColRef(n): ValExpr) } :+
+                (out -> (ColRef(out): ValExpr)))
+            val (lc, rc) = (colsOf(l), colsOf(r))
+            if (vInner.cols.nonEmpty && vInner.cols.subsetOf(rc) && !joinOuter) {
+              // The summed expression lives entirely on the right side:
+              // pre-aggregate it below the join — this is what localizes the
+              // aggregation onto the lowest dictionary in shredded
+              // nested-to-flat chains (§4.6).
+              val rGroup = (gInner.filter(rc) ++ rk).distinct
               val tmp    = fresh()
-              // Pre-aggregate the left side, then recurse: the partial sum
-              // may push further down a join chain.
-              val lAgg = pushAgg(NestSum(l, lGroup, Seq(tmp -> lExpr)))
-              restore(NestSum(Join(lAgg, r, lk, rk, joinOuter), gInner,
-                Seq(out -> ArithV("*", ColRef(tmp), rExpr))))
-            case None => mapChildrenPlan(ns, pushAgg)
-          }
-        case _ => mapChildrenPlan(ns, pushAgg)
-      }
-    case other => mapChildrenPlan(other, pushAgg)
+              val rAgg   = push(NestSum(r, rGroup, Seq(tmp -> vInner)))
+              restore(NestSum(Join(l, rAgg, lk, rk, joinOuter), gInner, Seq(out -> ColRef(tmp))))
+            } else factor(vInner, lc, rc) match {
+              case Some((lExpr, rExpr)) =>
+                val lGroup = (gInner.filter(lc) ++ lk).distinct
+                val tmp    = fresh()
+                // Pre-aggregate the left side, then recurse: the partial sum
+                // may push further down a join chain.
+                val lAgg = push(NestSum(l, lGroup, Seq(tmp -> lExpr)))
+                restore(NestSum(Join(lAgg, r, lk, rk, joinOuter), gInner,
+                  Seq(out -> ArithV("*", ColRef(tmp), rExpr))))
+              case None => mapChildrenPlan(ns, push)
+            }
+          case _ => mapChildrenPlan(ns, push)
+        }
+      case other => mapChildrenPlan(other, push)
+    }
+    push(p)
   }
 
   /** Peel `Project` layers, composing their column definitions. */

@@ -3,7 +3,7 @@ package repro.data
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core._
-import repro.shred.ShredTypes
+import repro.shred.{ShredTypes, Unshredder}
 
 /** Synthetic substitute for the biomedical (ICGC) benchmark inputs of
   * App. C.1 — same schemas and nesting, deterministic in (sf, seed).
@@ -116,22 +116,6 @@ object BioData {
       ShredTypes.dictName("Occurrences", Seq("candidates")) -> candDict,
       ShredTypes.dictName("Occurrences", Seq("candidates", "consequences")) -> conseqDict)
 
-    // Nested Occurrences for the flattening routes.
-    val conseqGrouped = conseqDict.groupBy(ShredTypes.LabelCol)
-      .agg(collect_list(struct($"conseq")) as "consequences")
-    val candNested = candDict.join(conseqGrouped,
-        candDict("consequences") === conseqGrouped(ShredTypes.LabelCol), "left_outer")
-      .select(candDict(ShredTypes.LabelCol) as "mlabel", $"gene", $"impact", $"sift", $"poly",
-        coalesce(conseqGrouped("consequences"),
-          array().cast(conseqGrouped.schema("consequences").dataType)) as "consequences")
-    val candGrouped = candNested.groupBy($"mlabel")
-      .agg(collect_list(struct($"gene", $"impact", $"sift", $"poly", $"consequences")) as "candidates")
-    val occNested = occF.drop("candidates").join(candGrouped,
-        occF("mutationId") === candGrouped("mlabel"), "left_outer")
-      .select($"sample", $"contig", $"start", $"mutationId",
-        coalesce($"candidates",
-          array().cast(candGrouped.schema("candidates").dataType)) as "candidates")
-
     val copyNumber = samples.crossJoin(spark.range(200).toDF("gi")).select(
       $"aliquot",
       concat(lit("g"), pmod(xxhash64($"aliquot", $"gi"), lit(nGenes))) as "gene",
@@ -153,8 +137,6 @@ object BioData {
     val netShredded = Map(
       ShredTypes.topName("Network") -> netF,
       ShredTypes.dictName("Network", Seq("edges")) -> netDict)
-    val netNested = netEdges.groupBy($"nodeProtein")
-      .agg(collect_list(struct($"edgeProtein", $"distance")) as "edges")
 
     val geneExpression = samples.crossJoin(spark.range(300).toDF("gi")).select(
       $"aliquot",
@@ -166,8 +148,14 @@ object BioData {
       concat(lit("SO_"), $"id")                 as "conseq",
       round(($"id" + 1) / conseqTerms.toDouble, 3) as "value")
 
-    BioTables(samples, occNested, occShredded, copyNumber, netNested, netShredded,
-      geneExpression, soImpact, proteins.select($"gene", $"protein"))
+    // The flattening routes read Occurrences and Network nested: each is
+    // its shredded form, unshredded.
+    BioTables(samples,
+      occurrences = Unshredder.unshred("Occurrences", occurrencesTpe, occShredded),
+      occurrencesShredded = occShredded, copyNumber = copyNumber,
+      network = Unshredder.unshred("Network", networkTpe, netShredded),
+      networkShredded = netShredded, geneExpression = geneExpression, soImpact = soImpact,
+      biomart = proteins.select($"gene", $"protein"))
   }
 
   /** Flat + nested catalog under the names the bio queries use. */

@@ -5,7 +5,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.SynthData
 import repro.core._
-import repro.shred.ShredTypes
+import repro.shred.{ShredTypes, Unshredder}
 
 /** The nested TPC-H micro-benchmark of §6 / App. B.
   *
@@ -16,10 +16,11 @@ import repro.shred.ShredTypes
   *
   * This module provides, per (level, wide):
   *   - NRC element types of the nested result (the nested-to-* input type);
-  *   - the materialized nested input as one DataFrame of array<struct>
-  *     columns (input to Standard and the SparkSQL baseline);
   *   - the shredded input as B.1.3-style natural-key projections (labels =
-  *     parent join keys), exhibiting input/output label sharing.
+  *     parent join keys), exhibiting input/output label sharing;
+  *   - the materialized nested input as one DataFrame of array<struct>
+  *     columns (input to Standard and the SparkSQL baseline), built by
+  *     unshredding the shredded input.
   *
   * `skewFactor` 0–4 controls Zipf skew in Lineitem keys (paper's skewed
   * generator substitute; see DESIGN.md).
@@ -106,36 +107,16 @@ object NestedTpch {
 
   // --------------------------------------------------------- nested input
 
-  private def emptyLike(df: DataFrame, c: String) =
-    coalesce(col(c), array().cast(df.schema(c).dataType))
-
   /** Materialized flat-to-nested result at `level` — the nested input used
-    * by the Standard route and the SparkSQL baseline.
+    * by the Standard route and the SparkSQL baseline: the Lineitem
+    * projection at level 0, otherwise the unshredded [[shreddedInput]].
     */
-  def nestedInput(t: Tables, level: Int, wide: Boolean): DataFrame = {
-    val bottom = t.lineitem.select("l_orderkey", "l_partkey", "l_quantity")
-    if (level == 0) return bottom.select("l_partkey", "l_quantity")
+  def nestedInput(t: Tables, level: Int, wide: Boolean): DataFrame =
+    if (level == 0) t.lineitem.select("l_partkey", "l_quantity")
+    else Unshredder.unshred(inputName(level, wide), BagTpe(nestedElem(level, wide)),
+      shreddedInput(t, level, wide))
 
-    var cur: DataFrame = bottom
-    var curKey = "l_orderkey"
-    var curAttrs: Seq[String] = Seq("l_partkey", "l_quantity")
-    for (i <- 0 until level) {
-      val l    = levels(wide)(i)
-      val dim  = dimDf(t, l, wide)
-      val bag  = BagNames(i)
-      val nested = cur
-        .groupBy(col(curKey).as("__k"))
-        .agg(collect_list(struct(curAttrs.map(col): _*)).as(bag))
-      val joined = dim.join(nested, dim(l.selfKey) === nested("__k"), "left_outer")
-      val withBag = joined.withColumn(bag, emptyLike(joined, bag)).drop("__k")
-      val keep = outAttrs(l, wide).map(_._1) :+ bag
-      val carry = l.upKey.filterNot(keep.contains).toSeq
-      cur = withBag.select((carry ++ keep).distinct.map(col): _*)
-      curAttrs = keep
-      curKey = l.upKey.orNull
-    }
-    cur.select(curAttrs.map(col): _*)
-  }
+  // -------------------------------------------------------- shredded input
 
   private def dimDf(t: Tables, l: Level, wide: Boolean): DataFrame = {
     val df = l.table match {
@@ -145,8 +126,6 @@ object NestedTpch {
     df.select(l.tpe(wide).fields.keys.toSeq.map(col): _*)
   }
 
-  // -------------------------------------------------------- shredded input
-
   /** B.1.3-style shredded input: labels are the natural parent keys, so the
     * top bag and every dictionary are cheap projections of the flat tables.
     */
@@ -154,7 +133,7 @@ object NestedTpch {
     require(level >= 1 && level <= 4)
     val name = inputName(level, wide)
     val elem = nestedElem(level, wide)
-    // Bag path from the top: e.g. level 2 → rnations? no: corders, corders_oparts.
+    // Bag paths from the top: e.g. level 2 → corders, corders_oparts.
     val paths = ShredTypes.bagPaths(BagTpe(elem))
     val out = scala.collection.mutable.Map.empty[String, DataFrame]
 

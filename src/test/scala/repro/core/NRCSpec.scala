@@ -97,10 +97,6 @@ class NRCSpec extends AnyFunSuite {
     assert(r == ForUnion(x, li, Sng(Tup("t" -> Arith("*", Proj(VarRef(x), "qty"), Const(2.0, RealTpe))))))
   }
 
-  test("renameInput") {
-    assert(renameInput(li, "Li", "Li2") == InputBag("Li2", liB))
-  }
-
   test("program lookup") {
     val p = Program(Seq(Assignment("A", li)))
     assert(p("A").expr == li)

@@ -30,6 +30,13 @@ class OptimizerSpec extends SparkSpec {
     assert(countNestSum(opt) > countNestSum(plan))
   }
 
+  test("full optimization gives the same plan on every call") {
+    val plan = Unnester.compile(TpchQueries.nestedToFlat(2, wide = false))
+    val opt = Optimizer.full(plan)
+    assert(opt.pretty().contains("__pa_1"))
+    assert(Optimizer.full(plan) == opt)
+  }
+
   test("projection pushing trims project widths") {
     def maxProj(p: Plan): Int = (p match {
       case Project(_, cols) => cols.size

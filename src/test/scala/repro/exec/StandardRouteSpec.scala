@@ -29,16 +29,13 @@ class StandardRouteSpec extends SparkSpec {
     }
   }
 
-  for (level <- 1 to 4) {
-    test(s"flat-to-nested level $level narrow matches direct Spark construction") {
-      val q = TpchQueries.flatToNested(level, wide = false)
-      TestUtil.assertBagEq(run(q), NestedTpch.nestedInput(t, level, wide = false))
+  // The nested input is the B.1.3 shredded input, unshredded.
+  for (level <- 1 to 4; wide <- Seq(false, true)) {
+    val tag = s"level $level ${if (wide) "wide" else "narrow"}"
+    test(s"flat-to-nested $tag matches direct Spark construction") {
+      val q = TpchQueries.flatToNested(level, wide)
+      TestUtil.assertBagEq(run(q), NestedTpch.nestedInput(t, level, wide))
     }
-  }
-
-  test("flat-to-nested wide level 2 matches direct Spark construction") {
-    val q = TpchQueries.flatToNested(2, wide = true)
-    TestUtil.assertBagEq(run(q), NestedTpch.nestedInput(t, 2, wide = true))
   }
 
   test("flat-to-nested preserves the customer with no orders") {

@@ -30,10 +30,28 @@ class BioRouteSpec extends SparkSpec {
     TestUtil.assertBagEq(again.occurrences, t.occurrences)
   }
 
-  test("shredded Occurrences components unshred to the nested Occurrences") {
-    val renamed = t.occurrencesShredded.map { case (k, v) => k.replace("Occurrences", "RT") -> v }
-    val back = Unshredder.unshred("RT", BioData.occurrencesTpe, renamed)
-    TestUtil.assertBagEq(back, t.occurrences)
+  test("nested Occurrences is the three-level nesting of its shredded components") {
+    import repro.core._
+    import repro.core.NRC._
+    import repro.shred.ShredTypes.{LabelCol, components}
+    val Seq((occN, occT), (candN, candT), (conseqN, conseqT)) =
+      components("Occurrences", BioData.occurrencesTpe)
+    val (o, c, k) = (VarDef("o", occT), VarDef("c", candT), VarDef("k", conseqT))
+    def p(x: VarDef, a: String) = Proj(VarRef(x), a)
+    // for x in dict union if x.label == label then {fields}
+    def lookup(x: VarDef, dict: String, elem: TupleTpe, label: Expr)(fields: (String, Expr)*) =
+      ForUnion(x, InputBag(dict, BagTpe(elem)),
+        IfThenBag(Cmp("==", p(x, LabelCol), label), Sng(Tup(fields: _*))))
+    val q = ForUnion(o, InputBag(occN, BagTpe(occT)), Sng(Tup(
+      "sample" -> p(o, "sample"), "contig" -> p(o, "contig"), "start" -> p(o, "start"),
+      "mutationId" -> p(o, "mutationId"),
+      "candidates" -> lookup(c, candN, candT, p(o, "candidates"))(
+        "gene" -> p(c, "gene"), "impact" -> p(c, "impact"),
+        "sift" -> p(c, "sift"), "poly" -> p(c, "poly"),
+        "consequences" -> lookup(k, conseqN, conseqT, p(c, "consequences"))(
+          "conseq" -> p(k, "conseq"))))))
+    TestUtil.assertBagEq(t.occurrences,
+      TestUtil.localEval(q, TestUtil.toLocal(t.occurrencesShredded)))
   }
 
   test("candidate dictionary is shared across occurrences (App. D premise)") {

@@ -79,26 +79,6 @@ class ShredRouteSpec extends SparkSpec {
     }
   }
 
-  // ------------------------------------------------- value shred/unshred
-
-  for (level <- 1 to 3) {
-    test(s"value shredding round-trip at level $level") {
-      val nested = NestedTpch.nestedInput(t, level, wide = false)
-      val tpe = repro.core.BagTpe(NestedTpch.nestedElem(level, wide = false))
-      val parts = ValueShredding.shredValue("RT", tpe, nested)
-      val back = Unshredder.unshred("RT", tpe, parts)
-      TestUtil.assertBagEq(back, nested)
-    }
-  }
-
-  test("B.1.3 natural-key shredded input unshreds to the nested input") {
-    val tpe = repro.core.BagTpe(NestedTpch.nestedElem(2, wide = false))
-    val parts = NestedTpch.shreddedInput(t, 2, wide = false)
-    val renamed = parts.map { case (k, v) => k.replace("COP2n", "RT") -> v }
-    val back = Unshredder.unshred("RT", tpe, renamed)
-    TestUtil.assertBagEq(back, NestedTpch.nestedInput(t, 2, wide = false))
-  }
-
   test("shredded output of flat-to-nested matches the B.1.3 shredded input") {
     // Shredding the flat-to-nested query should reproduce (up to label
     // values) the natural-key shredded input; here labels coincide because
