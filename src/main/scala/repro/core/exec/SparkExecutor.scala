@@ -94,6 +94,9 @@ object SparkExecutor {
     case ArithV(op, l, r) =>
       val (a, b) = (toCol(l), toCol(r))
       op match { case "+" => a + b; case "-" => a - b; case "*" => a * b; case "/" => a / b }
+    // x == x (left by domain elimination) keeps exactly the non-NULL rows;
+    // saying so spares Spark a trivially true self-equality.
+    case CmpV("==", l, r) if l == r => toCol(l).isNotNull
     case CmpV(op, l, r) =>
       val (a, b) = (toCol(l), toCol(r))
       op match {

@@ -1,5 +1,6 @@
 package repro.skew
 
+import scala.collection.mutable
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.core.exec.SparkExecutor
@@ -9,8 +10,9 @@ import repro.core.exec.SparkExecutor
   * A relation is split by sampled *heavy keys* into a light component
   * (shuffled/partitioned as usual) and a heavy component (kept in place,
   * joined by broadcasting the matching tuples of the other side). The
-  * threshold bounds the number of heavy keys (2.5% ⇒ at most 40 per sampled
-  * partition), keeping the broadcast cheap.
+  * threshold bounds the number of heavy keys (2.5% of the whole sample ⇒
+  * about 40 keys overall; `maxHeavyKeys` caps what rounding the cutoff down
+  * admits on a small sample), keeping the broadcast cheap.
   */
 final case class SkewConfig(
     /** Fraction of sampled tuples a key must reach to be heavy (paper: 2.5%). */
@@ -26,27 +28,32 @@ final case class SkewTriple(light: DataFrame, heavy: DataFrame, heavyKeys: Seq[S
 
 object SkewOps {
 
-  /** Detect heavy key values of `keys` in `df` by sampling. */
+  /** Detect heavy key values of `keys` in `df` by sampling.
+    *
+    * A key is heavy when it holds at least `threshold` of the whole sample.
+    * The sample is counted in one Spark job with no shuffle: each partition
+    * counts its sampled keys locally and the driver adds up the partial
+    * counts (one row per distinct key per partition, the rows a partial
+    * aggregation would write into its shuffle).
+    */
   def heavyKeys(df: DataFrame, keys: Seq[String], cfg: SkewConfig = SkewConfig()): Seq[Seq[Any]] = {
     val sample = df.select(keys.map(col): _*).sample(withReplacement = false, cfg.sampleFraction, cfg.seed)
-    val counts = sample.groupBy(keys.map(col): _*).count().persist()
-    try {
-      // The sum is NULL when the sample is empty: then no key is heavy.
-      val sumRow = counts.agg(sum("count")).collect()(0)
-      val total = if (sumRow.isNullAt(0)) 0L else sumRow.getLong(0)
-      if (total == 0) return Seq.empty
-      val cutoff = math.max(1L, (cfg.threshold * total).toLong)
-      counts.filter(col("count") >= cutoff)
-        .orderBy(col("count").desc)
-        .limit(cfg.maxHeavyKeys)
-        .collect()
-        .map(r => keys.indices.map(r.get).toSeq)
-        .toSeq
-        // NULL keys come from outer-padding rows; they never match a join
-        // partner, so splitting them to the heavy side is pointless (and
-        // `===` cannot select them).
-        .filterNot(_.contains(null))
-    } finally { counts.unpersist(); () }
+    val counts = sample.rdd.mapPartitions { rows =>
+      val local = mutable.HashMap.empty[Seq[Any], Long]
+      rows.foreach { r => val k = r.toSeq; local(k) = local.getOrElse(k, 0L) + 1 }
+      local.iterator
+    }.collect().groupMapReduce(_._1)(_._2)(_ + _)
+    val total = counts.values.sum
+    if (total == 0) return Seq.empty
+    val cutoff = math.max(1L, (cfg.threshold * total).toLong)
+    counts.toSeq.filter(_._2 >= cutoff)
+      .sortBy(-_._2)
+      .take(cfg.maxHeavyKeys)
+      .map(_._1)
+      // NULL keys come from outer-padding rows; they never match a join
+      // partner, so splitting them to the heavy side is pointless (and
+      // `===` cannot select them).
+      .filterNot(_.contains(null))
   }
 
   private def keyMatch(keys: Seq[String], hk: Seq[Seq[Any]]): Column =

@@ -28,6 +28,12 @@ class SparkExecutorOpsSpec extends SparkSpec {
     assert(exec(p, "kv" -> kv).count() == 2)
   }
 
+  test("Select on a self-equality drops exactly the NULL rows") {
+    val withNull = Seq((Some(1L), 1.0), (None, 2.0), (Some(3L), 3.0)).toDF("k", "v")
+    val p = Select(Source("kv"), CmpV("==", ColRef("k"), ColRef("k")))
+    assert(exec(p, "kv" -> withNull).collect().map(_.getLong(0)).toSet == Set(1L, 3L))
+  }
+
   test("inner join drops non-matching keys") {
     val p = Join(Source("kv"), Source("d"), Seq("k"), Seq("dk"), leftOuter = false)
     assert(exec(p, "kv" -> kv, "d" -> dims).count() == 3)

@@ -1,5 +1,7 @@
 package repro.skew
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 import repro.{SparkSpec, SynthData, TestData, TestUtil}
 import repro.core.exec.{Routes, SparkExecutor}
 import repro.core.plan.{Optimizer, Unnester}
@@ -13,6 +15,34 @@ class SkewOpsSpec extends SparkSpec {
 
   private val cfg = SkewConfig(sampleFraction = 0.5)
 
+  /** The heavy-key rule as a grouped Spark query over the same seeded
+    * sample: keys holding at least max(1, threshold × total) sampled rows,
+    * by descending count, at most `maxHeavyKeys`, NULL keys dropped.
+    * Returns each key with its count.
+    */
+  private def referenceHeavyKeys(df: DataFrame, keys: Seq[String], cfg: SkewConfig): Seq[(Seq[Any], Long)] = {
+    val sample = df.select(keys.map(col): _*).sample(withReplacement = false, cfg.sampleFraction, cfg.seed)
+    val counts = sample.groupBy(keys.map(col): _*).count()
+    val total = counts.agg(sum("count")).head()
+    if (total.isNullAt(0)) return Seq.empty
+    val cutoff = math.max(1L, (cfg.threshold * total.getLong(0)).toLong)
+    counts.filter(col("count") >= cutoff).orderBy(col("count").desc).limit(cfg.maxHeavyKeys).collect().toSeq
+      .map(r => keys.indices.map(r.get) -> r.getLong(keys.size))
+      .filterNot(_._1.contains(null))
+  }
+
+  /** Same keys as the reference, in an order the counts allow (keys with
+    * equal counts may come in either order).
+    */
+  private def assertSameHeavyKeys(df: DataFrame, keys: Seq[String], cfg: SkewConfig): Seq[Seq[Any]] = {
+    val ref = referenceHeavyKeys(df, keys, cfg)
+    val hk = SkewOps.heavyKeys(df, keys, cfg)
+    assert(hk.toSet == ref.map(_._1).toSet && hk.size == ref.size, s"\n  got: $hk\n  ref: $ref")
+    val count = ref.toMap
+    assert(hk.map(count) == ref.map(_._2), s"\n  got: $hk\n  ref: $ref")
+    hk
+  }
+
   test("heavy keys found on Zipf-distributed data") {
     val df = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000, alpha = 1.3)
     val hk = SkewOps.heavyKeys(df, Seq("k"), cfg)
@@ -24,6 +54,42 @@ class SkewOpsSpec extends SparkSpec {
   test("no heavy keys on uniform data") {
     val df = SynthData.uniformKeys(spark, rows = 20000, nKeys = 1000)
     assert(SkewOps.heavyKeys(df, Seq("k"), cfg).isEmpty)
+  }
+
+  test("heavy-key detection runs one Spark job and writes no shuffle") {
+    val df = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000, alpha = 1.3)
+    val (hk, work) = TestUtil.sparkWork(spark)(SkewOps.heavyKeys(df, Seq("k"), cfg))
+    assert(hk.nonEmpty)
+    assert(work.jobs == 1, work)
+    assert(work.shuffleWriteBytes == 0, work)
+  }
+
+  test("heavy keys equal the grouped-count rule's on a Zipf key, also when capped") {
+    val df = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000, alpha = 1.3)
+    assert(assertSameHeavyKeys(df, Seq("k"), cfg).size > 1)
+    assert(assertSameHeavyKeys(df, Seq("k"), cfg.copy(maxHeavyKeys = 1)).size == 1)
+  }
+
+  test("heavy keys equal the grouped-count rule's on a two-column key") {
+    val df = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000, alpha = 1.3)
+      .select(col("k"), (col("v") * 3).cast("long") as "j")
+    assert(assertSameHeavyKeys(df, Seq("k", "j"), cfg).nonEmpty)
+  }
+
+  test("heavy keys equal the grouped-count rule's when keys include NULLs") {
+    // Rank 1, the heaviest key, becomes NULL. It is dropped after the cap,
+    // so with a cap of 1 no key is left.
+    val df = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000, alpha = 1.3)
+      .select(when(col("k") =!= 1L, col("k")) as "k")
+    assert(assertSameHeavyKeys(df, Seq("k"), cfg).nonEmpty)
+    assert(assertSameHeavyKeys(df, Seq("k"), cfg.copy(maxHeavyKeys = 1)).isEmpty)
+  }
+
+  test("heavy keys equal the grouped-count rule's on a sample smaller than 1/threshold") {
+    // About 20 sampled rows: the cutoff is 1, so every sampled key is heavy.
+    val df = SynthData.uniformKeys(spark, rows = 200, nKeys = 1000)
+    val hk = assertSameHeavyKeys(df, Seq("k"), SkewConfig())
+    assert(hk.nonEmpty && hk.size < 40)
   }
 
   test("split partitions the bag exactly") {
