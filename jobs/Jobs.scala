@@ -16,12 +16,16 @@ import repro.bench.Harness._
   * spark-submit --class repro.jobs.E1Job    repro.jar 0.1
   * }}}
   */
+/** The one Spark session builder (the tests use it too): broadcast joins
+  * off; AQE and its skew-join splitting pinned to Spark 4.1's defaults. */
 object JobSession {
   def get(name: String): SparkSession =
     SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .config("spark.sql.adaptive.enabled", true)
+      .config("spark.sql.adaptive.skewJoin.enabled", true)
       .getOrCreate()
 }
 

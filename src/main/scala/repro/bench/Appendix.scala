@@ -17,12 +17,7 @@ import Harness._
 object AppD {
 
   final case class Counts(occurrences: Long, flattenedCandidates: Long,
-                          dictCandidates: Long) {
-    def rows: Seq[Harness.Result] = Seq(
-      Harness.Result("AppD", "occurrence tuples", "-", occurrences, 0, ok = true),
-      Harness.Result("AppD", "flattened candidate tuples", "Standard", flattenedCandidates, 0, ok = true),
-      Harness.Result("AppD", "dictionary candidate tuples", "Shred", dictCandidates, 0, ok = true))
-  }
+                          dictCandidates: Long)
 
   def run(spark: SparkSession, sf: Double): Counts = {
     val bio = BioData.tables(spark, sf)
@@ -49,8 +44,7 @@ object E4 {
     val t0 = NestedTpch.tables(spark, sf)
     val t = t0.copy(lineitem = materialize(t0.lineitem), orders = materialize(t0.orders),
       customer = materialize(t0.customer), part = materialize(t0.part))
-    val flatCat = Map("Lineitem" -> t.lineitem, "Orders" -> t.orders,
-      "Customer" -> t.customer, "Nation" -> t.nation, "Region" -> t.region, "Part" -> t.part)
+    val flatCat = NestedTpch.catalog(t)
 
     for (wide <- widths; level <- levels) {
       val w = if (wide) "wide" else "narrow"
@@ -85,8 +79,7 @@ object E1 {
     val t0 = NestedTpch.tables(spark, sf)
     val t = t0.copy(lineitem = materialize(t0.lineitem), orders = materialize(t0.orders),
       customer = materialize(t0.customer), part = materialize(t0.part))
-    val flatCat = Map("Lineitem" -> t.lineitem, "Orders" -> t.orders,
-      "Customer" -> t.customer, "Nation" -> t.nation, "Region" -> t.region, "Part" -> t.part)
+    val flatCat = NestedTpch.catalog(t)
 
     for (level <- levels) {
       for ((family, mkQ) <- Seq(

@@ -31,8 +31,7 @@ object Fig7 {
     val t = NestedTpch.Tables(materialize(t0.lineitem), materialize(t0.orders),
       materialize(t0.customer), materialize(t0.nation), materialize(t0.region),
       materialize(t0.part))
-    val flatCat = Map("Lineitem" -> t.lineitem, "Orders" -> t.orders,
-      "Customer" -> t.customer, "Nation" -> t.nation, "Region" -> t.region, "Part" -> t.part)
+    val flatCat = NestedTpch.catalog(t)
     val out = Seq.newBuilder[Result]
 
     for (family <- families; wide <- widths; level <- levels) {

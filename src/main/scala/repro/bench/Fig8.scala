@@ -33,8 +33,7 @@ object Fig8 {
       val t0 = NestedTpch.tables(spark, sf, skew)
       val t = t0.copy(lineitem = materialize(t0.lineitem), orders = materialize(t0.orders),
         customer = materialize(t0.customer), part = materialize(t0.part))
-      val flatCat = Map("Lineitem" -> t.lineitem, "Orders" -> t.orders,
-        "Customer" -> t.customer, "Nation" -> t.nation, "Region" -> t.region, "Part" -> t.part)
+      val flatCat = NestedTpch.catalog(t)
       // Narrow materialized COP input (the paper's skew experiment input).
       val nested = materialize(NestedTpch.nestedInput(t, level, wide = false))
       val shredded = NestedTpch.shreddedInput(t, level, wide = false)

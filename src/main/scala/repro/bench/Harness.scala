@@ -1,16 +1,14 @@
 package repro.bench
 
 import java.util.concurrent.TimeoutException
-import java.util.concurrent.atomic.AtomicLong
 import scala.concurrent.{Await, Future}
 import scala.concurrent.duration._
 import scala.concurrent.ExecutionContext.Implicits.global
 import scala.util.{Failure, Success, Try}
-import org.apache.spark.scheduler.{SparkListener, SparkListenerStageCompleted}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-/** Benchmark harness: wall-clock + total shuffle-write bytes per run
-  * (SparkListener over stage metrics), with a cancel-on-timeout guard that
+/** Benchmark harness: wall-clock + shuffle-write bytes per run (billed by
+  * job tag through `Meter`), with a cancel-on-timeout guard that
   * reports `FAIL` — standing in for the paper's out-of-memory crashes, which
   * a 48 GB single-node heap does not reproduce at SF≈0.1.
   *
@@ -27,46 +25,35 @@ object Harness {
     }
   }
 
-  private final class ShuffleListener extends SparkListener {
-    val bytes = new AtomicLong(0)
-    override def onStageCompleted(sc: SparkListenerStageCompleted): Unit = {
-      val m = sc.stageInfo.taskMetrics
-      if (m != null) { bytes.addAndGet(m.shuffleWriteMetrics.bytesWritten); () }
-    }
-  }
-
   def timeoutSeconds: Int = sys.env.getOrElse("BENCH_TIMEOUT_S", "300").toInt
 
   /** Time `action` (which must force its own computation); capture shuffle.
-    * The action's jobs carry this call's job tag: the tag is set on the
-    * thread that runs the action, so a pooled thread never carries an
-    * earlier call's tag, and a timeout cancels exactly this call's jobs.
+    * The action's jobs carry this call's job tag, billed by `Meter`: the tag
+    * is set on the thread that runs the action, so a pooled thread never
+    * carries an earlier call's tag, and a timeout cancels exactly its jobs.
     */
   def measure(spark: SparkSession, table: String, config: String, strategy: String)
              (action: => Unit): Result = {
     val sc = spark.sparkContext
-    val listener = new ShuffleListener
-    sc.addSparkListener(listener)
     val tag = s"$table/$config/$strategy"
-    val t0 = System.nanoTime()
-    val fut = Future {
-      sc.setInterruptOnCancel(true)
-      sc.addJobTag(tag)
-      try action finally sc.removeJobTag(tag)
+    val ((outcome, ms), work) = Meter.bill(spark, tag) {
+      val t0 = System.nanoTime()
+      val fut = Future {
+        sc.setInterruptOnCancel(true)
+        sc.addJobTag(tag)
+        try action finally sc.removeJobTag(tag)
+      }
+      val outcome = Try(Await.result(fut, timeoutSeconds.seconds))
+      val ms = (System.nanoTime() - t0) / 1000000
+      // Timed out: cancel this call's jobs until the run ends. A job the
+      // action starts after one cancellation is cancelled on the next pass.
+      while (!fut.isCompleted) {
+        sc.cancelJobsWithTag(tag)
+        Try(Await.ready(fut, 1.second))
+      }
+      (outcome, ms)
     }
-    val outcome = Try(Await.result(fut, timeoutSeconds.seconds))
-    val ms = (System.nanoTime() - t0) / 1000000
-    // Timed out: cancel this call's jobs until the run ends, so its shuffle
-    // bytes are not billed to the next row. A job the action starts after
-    // one cancellation is cancelled on the next pass.
-    while (!fut.isCompleted) {
-      sc.cancelJobsWithTag(tag)
-      Try(Await.ready(fut, 1.second))
-    }
-    // Let straggler stage-completion events drain before reading the total.
-    Thread.sleep(100)
-    sc.removeSparkListener(listener)
-    val mb = listener.bytes.get() / 1e6
+    val mb = work.shuffleWriteBytes / 1e6
     outcome match {
       case Success(_) => Result(table, config, strategy, ms, mb, ok = true)
       case Failure(_: TimeoutException) =>

@@ -26,8 +26,6 @@ object Optimizer {
 
   val pushProjections: Plan => Plan = p => prune(p, None)
 
-  val pushAggregation: Plan => Plan = p => pushAgg(p)
-
   val full: Plan => Plan = p => prune(pushAgg(p), None)
 
   def level(n: Int): Plan => Plan = n match {

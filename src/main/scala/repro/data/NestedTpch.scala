@@ -46,6 +46,11 @@ object NestedTpch {
     Tables(li, ord, cust, SynthData.nation(spark), SynthData.region(spark), part)
   }
 
+  /** Flat catalog under the names the benchmark queries use. */
+  def catalog(t: Tables): Map[String, DataFrame] = Map(
+    "Lineitem" -> t.lineitem, "Orders" -> t.orders, "Customer" -> t.customer,
+    "Nation" -> t.nation, "Region" -> t.region, "Part" -> t.part)
+
   // ------------------------------------------------------------ NRC types
 
   /** Flat-input element types (attributes the benchmark queries reference). */

@@ -59,9 +59,4 @@ object TestData {
     NestedTpch.Tables(lineitem, orders, customer,
       SynthData.nation(spark), SynthData.region(spark), part)
   }
-
-  /** Flat catalog under the names the benchmark queries use. */
-  def flatCatalog(t: NestedTpch.Tables): Map[String, org.apache.spark.sql.DataFrame] =
-    Map("Lineitem" -> t.lineitem, "Orders" -> t.orders, "Customer" -> t.customer,
-        "Nation" -> t.nation, "Region" -> t.region, "Part" -> t.part)
 }

@@ -11,7 +11,7 @@ import repro.queries.{BioQueries, TpchQueries}
 class SparkSQLBaselineSpec extends SparkSpec {
 
   private lazy val t       = TestData.tables(spark)
-  private lazy val catalog = TestData.flatCatalog(t)
+  private lazy val catalog = NestedTpch.catalog(t)
 
   for (level <- 0 to 4) {
     test(s"SparkSQL flat-to-nested level $level narrow matches the standard route") {

@@ -1,6 +1,6 @@
 package repro.bench
 
-import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import scala.jdk.CollectionConverters._
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
@@ -36,5 +36,25 @@ class HarnessSpec extends SparkSpec {
     seen.foreach { case (run, tags) =>
       assert(tags.split(",").contains(s"T/$run/S"), s"job of $run tagged '$tags'")
     }
+  }
+
+  test("a shuffle job run untagged on another thread is not billed to a measured run") {
+    val sc = spark.sparkContext
+    val started, done = new CountDownLatch(1)
+    // Built on this (untagged) thread, so its jobs carry no run's tag.
+    val other = new Thread(() => {
+      started.await()
+      sc.parallelize(1 to 10000, 4).map(i => (i % 100, i)).reduceByKey(_ + _).count()
+      done.countDown()
+    })
+    other.start()
+    val r = Harness.measure(spark, "T", "concurrent", "S") {
+      sc.parallelize(1 to 10, 2).count()
+      started.countDown()
+      assert(done.await(60, TimeUnit.SECONDS), "the other thread's job never finished")
+    }
+    other.join()
+    assert(r.ok, r)
+    assert(r.shuffleMB == 0, r)
   }
 }

@@ -11,7 +11,7 @@ import repro.queries.TpchQueries
 class OptimizerSpec extends SparkSpec {
 
   private lazy val t       = TestData.tables(spark)
-  private lazy val catalog = TestData.flatCatalog(t)
+  private lazy val catalog = NestedTpch.catalog(t)
 
   private def countNestSum(p: Plan): Int =
     (p match { case _: NestSum => 1; case _ => 0 }) + p.children.map(countNestSum).sum
@@ -25,7 +25,7 @@ class OptimizerSpec extends SparkSpec {
   test("aggregation pushing introduces a partial sum below the Part join") {
     val plan = Unnester.compile(TpchQueries.nestedToFlat(2, wide = false))
     assert(!hasSumBelowJoin(plan))
-    val opt = Optimizer.pushAggregation(plan)
+    val opt = Optimizer.full(plan)
     assert(hasSumBelowJoin(opt))
     assert(countNestSum(opt) > countNestSum(plan))
   }

@@ -13,7 +13,7 @@ import repro.queries.TpchQueries
 class RddExecutorSpec extends SparkSpec {
 
   private lazy val t       = TestData.tables(spark)
-  private lazy val catalog = TestData.flatCatalog(t)
+  private lazy val catalog = NestedTpch.catalog(t)
 
   private def rddCatalog(cat: Map[String, org.apache.spark.sql.DataFrame]) =
     cat.map { case (n, df) => n -> RddExecutor.fromDataFrame(df) }

@@ -13,7 +13,7 @@ import repro.queries.TpchQueries
 class StandardRouteSpec extends SparkSpec {
 
   private lazy val t       = TestData.tables(spark)
-  private lazy val catalog = TestData.flatCatalog(t)
+  private lazy val catalog = NestedTpch.catalog(t)
   private lazy val local   = TestUtil.toLocal(catalog)
 
   private def run(q: repro.core.NRC.Expr, cat: Map[String, org.apache.spark.sql.DataFrame] = catalog) =

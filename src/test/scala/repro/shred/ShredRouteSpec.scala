@@ -15,7 +15,7 @@ import repro.queries.TpchQueries
 class ShredRouteSpec extends SparkSpec {
 
   private lazy val t       = TestData.tables(spark)
-  private lazy val catalog = TestData.flatCatalog(t)
+  private lazy val catalog = NestedTpch.catalog(t)
   private lazy val local   = TestUtil.toLocal(catalog)
 
   /** The shredded route on unoptimized plans: every assignment of `sq`. */

@@ -149,7 +149,7 @@ class SkewOpsSpec extends SparkSpec {
 
   test("standard route with skew-aware joins preserves results end-to-end") {
     val t = TestData.tables(spark)
-    val catalog = TestData.flatCatalog(t)
+    val catalog = NestedTpch.catalog(t)
     val nested = NestedTpch.nestedInput(t, 2, wide = false)
     val cat = catalog + (NestedTpch.inputName(2, wide = false) -> nested)
     val q = TpchQueries.nestedToNested(2, wide = false)
@@ -162,7 +162,7 @@ class SkewOpsSpec extends SparkSpec {
 
   test("shredded route with skew-aware joins preserves results end-to-end") {
     val t = TestData.tables(spark)
-    val catalog = TestData.flatCatalog(t)
+    val catalog = NestedTpch.catalog(t)
     val q = TpchQueries.nestedToFlat(2, wide = false)
     val sq = repro.shred.Shredder.shred("OUT", q)
     val shredded = NestedTpch.shreddedInput(t, 2, wide = false)
