@@ -107,29 +107,15 @@ object SynthData {
     require(skewFactor >= 0 && skewFactor <= 4, "skew factor must be 0..4")
     if (skewFactor == 0) lineitem(spark, sf, seed)
     else {
-      import spark.implicits._
       val heavyShare = 0.15 * skewFactor
       val nHeavy = 5
-      val nOrders = n(NOrdersPerSf, sf); val nPart = n(NPartPerSf, sf)
       def zipf(nKeys: Long, s: Long) =
         when(rand(s) < heavyShare,
           (rand(s + 100) * nHeavy + 1).cast(LongType))
           .otherwise((rand(s + 200) * nKeys + 1).cast(LongType))
-      spark.range(n(NLineitemPerSf, sf)).select(
-        zipf(nOrders, seed)                              as "l_orderkey",
-        zipf(nPart, seed + 1)                            as "l_partkey",
-        (rand(seed + 2) * 7 + 1).cast(IntegerType)       as "l_linenumber",
-        (rand(seed + 3) * 50 + 1).cast(DoubleType)       as "l_quantity",
-        round(rand(seed + 4) * 90000 + 900, 2)           as "l_extendedprice",
-        round(rand(seed + 5) * 0.10, 2)                  as "l_discount",
-        round(rand(seed + 6) * 0.08, 2)                  as "l_tax",
-        element_at(array(lit("N"), lit("R"), lit("A")),
-                   (rand(seed + 7) * 3 + 1).cast("int")) as "l_returnflag",
-        element_at(array(lit("O"), lit("F")),
-                   (rand(seed + 8) * 2 + 1).cast("int")) as "l_linestatus",
-        date_add(lit("1992-01-01").cast(DateType),
-                 (rand(seed + 9) * 2557).cast("int"))    as "l_shipdate",
-      )
+      lineitem(spark, sf, seed)
+        .withColumn("l_orderkey", zipf(n(NOrdersPerSf, sf), seed))
+        .withColumn("l_partkey", zipf(n(NPartPerSf, sf), seed + 1))
     }
   }
 

@@ -6,8 +6,8 @@ import repro.core.NRC._
 /** Reference interpreter for NRC over in-memory Scala collections.
   *
   * Values: tuples are `Map[String, Any]`, bags are `Seq[Map[String, Any]]`,
-  * scalars are boxed primitives, labels are `Long` (or the passed-through key
-  * value for single-component labels). This interpreter defines the ground
+  * scalars are boxed primitives, labels are `Long` (the hash of a `NewLabel`'s
+  * components). This interpreter defines the ground
   * truth the Spark routes are tested against; it supports the full language,
   * including constructs the distributed compiler restricts.
   */
@@ -80,17 +80,16 @@ object LocalEval {
         }
         (keys.zip(kv) ++ cast).toMap
       }
-    case NewLabelE(args) =>
-      val vs = args.map(eval(_, env))
-      if (vs.size == 1) vs.head else hashLabel(vs)
+    case NewLabelE(args) => hashLabel(args.map(eval(_, env)))
   }
 
   /** Deterministic 64-bit combination of label components; mirrors the Spark
     * executor's xxhash64-based labels closely enough for tests that compare
-    * structure rather than raw label values.
+    * structure rather than raw label values. A NULL component steps the hash
+    * differently from any value, so NULL and `0` give different labels.
     */
   def hashLabel(vs: Seq[Any]): Long =
-    vs.foldLeft(1125899906842597L)((h, v) => h * 31 + (if (v == null) 0 else v.hashCode()).toLong)
+    vs.foldLeft(1125899906842597L)((h, v) => if (v == null) h * 37 else h * 31 + v.hashCode())
 
   private def toDouble(v: Any): Double = v match {
     case null       => 0.0

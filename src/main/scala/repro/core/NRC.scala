@@ -158,10 +158,10 @@ object NRC {
 
   // --------------------------------------------------- label constructs (§4)
 
-  /** `NewLabel(e₁, …, eₙ)` — a label encapsulating flat values. A single
-    * argument passes through unchanged at runtime (enabling label sharing
-    * between input and output dictionaries); multiple arguments are combined
-    * with a 64-bit hash.
+  /** `NewLabel(e₁, …, eₙ)` — a label encapsulating flat values: a 64-bit
+    * hash of every argument, never NULL, also when an argument is. (Labels
+    * shared between input and output dictionaries are raw natural keys, not
+    * `NewLabel`s; see `Shredder`'s domain elimination.)
     */
   final case class NewLabelE(args: Seq[Expr]) extends Expr {
     require(args.nonEmpty, "NewLabel needs at least one component")
@@ -173,9 +173,7 @@ object NRC {
   // ------------------------------------------------------------- programs
 
   /** One assignment `name ⇐ expr` of a program. */
-  final case class Assignment(name: String, expr: Expr) {
-    def inputBag: InputBag = InputBag(name, expr.asBag)
-  }
+  final case class Assignment(name: String, expr: Expr)
 
   /** A program: a sequence of assignments; later ones may reference earlier
     * outputs via `InputBag(name, …)`.

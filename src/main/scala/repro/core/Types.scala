@@ -41,8 +41,6 @@ final case class TupleTpe(fields: ListMap[String, Tpe]) extends Tpe {
   def has(name: String): Boolean = fields.contains(name)
   /** Attributes of bag type, in declaration order. */
   def bagAttrs: Seq[String] = fields.collect { case (n, _: BagTpe) => n }.toSeq
-  /** Attributes of scalar type, in declaration order. */
-  def scalarAttrs: Seq[String] = fields.collect { case (n, _: ScalarTpe) => n }.toSeq
   /** True iff every attribute is scalar (a "flat" tuple). */
   def isFlat: Boolean = fields.values.forall(_.isInstanceOf[ScalarTpe])
 }

@@ -177,8 +177,7 @@ object RddExecutor {
     case IfV(c, t, f)  => if (evalVal(c, m) == true) evalVal(t, m) else evalVal(f, m)
     case WhenV(c, v)   => if (evalVal(c, m) == true) evalVal(v, m) else null
     case IsNotNullV(x) => evalVal(x, m) != null
-    case LabelV(Seq(one)) => evalVal(one, m)
-    case LabelV(many)  => LocalEval.hashLabel(many.map(evalVal(_, m)))
+    case LabelV(as)    => LocalEval.hashLabel(as.map(evalVal(_, m)))
   }
 
   private def numeric(v: Any): Boolean = v match {

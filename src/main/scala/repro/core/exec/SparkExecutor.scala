@@ -107,8 +107,8 @@ object SparkExecutor {
     case OrV(l, r)     => toCol(l) || toCol(r)
     case NotV(x)       => !toCol(x)
     case IfV(c, t, f)  => when(toCol(c), toCol(t)).otherwise(toCol(f))
-    case LabelV(Seq(one)) => toCol(one)
-    case LabelV(many)  => xxhash64(many.map(toCol): _*)
+    // xxhash64 skips NULL inputs, so each component's NULL flag is hashed too.
+    case LabelV(as)    => xxhash64(as.map(toCol).flatMap(c => Seq(c, c.isNull)): _*)
     case IsNotNullV(x) => toCol(x).isNotNull
     case WhenV(c, v)   => when(toCol(c), toCol(v))
   }

@@ -30,7 +30,7 @@ final case class AndV(l: ValExpr, r: ValExpr)                  extends ValExpr
 final case class OrV(l: ValExpr, r: ValExpr)                   extends ValExpr
 final case class NotV(e: ValExpr)                              extends ValExpr
 final case class IfV(cond: ValExpr, thn: ValExpr, els: ValExpr) extends ValExpr
-/** Label construction: one component passes through; several are hashed. */
+/** Label construction: a non-NULL hash of all components, NULLs included. */
 final case class LabelV(components: Seq[ValExpr])              extends ValExpr
 final case class IsNotNullV(e: ValExpr)                        extends ValExpr
 /** `when(cond, value)` with NULL otherwise — masks values of absent rows. */

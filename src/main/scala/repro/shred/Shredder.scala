@@ -21,15 +21,17 @@ import repro.shred.ShredTypes._
   * bag-valued attribute `b := sub` by a label built from the free attributes
   * `sub` captures (only the referenced ones — the paper's succinctness
   * refinement). The dictionary for `b` is materialized:
-  *   - *rule 1/2 (domain elimination)*: when every captured attribute is
-  *     equated inside `sub` with an attribute of a generator of `sub`, the
+  *   - *rule 1/2 (domain elimination)*: when `sub` captures one attribute
+  *     and equates it with an attribute of one of its own generators, the
   *     dictionary is computed from `sub`'s own generators with the captured
-  *     references substituted — no label domain, and when the equated
+  *     reference substituted — no label domain, and when the equated
   *     attribute is an input dictionary's `label` the output dictionary
   *     *shares* the input's labels;
-  *   - *baseline*: otherwise (single captured attribute) a label domain is
-  *     produced by `dedup` over the parent assignment and `sub` is evaluated
-  *     per label.
+  *   - *label domain*: otherwise the captured tuples are deduplicated over
+  *     the parent level's generators into a `__dom` assignment, `sub` is
+  *     evaluated once per domain tuple, and parent and dictionary both label
+  *     it with `NewLabel` of the captured attributes, hashed whatever their
+  *     number (a NULL attribute still yields a non-NULL label).
   *
   * Every emitted assignment is flat, so it compiles through the same
   * unnesting + Spark execution as the standard route — which is the point:
@@ -157,12 +159,13 @@ object Shredder {
         val (v, a, t) = captured.head
         parentLabels += b -> Proj(VarRef(v, t), a)
         Child(b, dictName(qname, path :+ b), addLabel(sub2, childLabel), None)
-      } else if (captured.size > 1 && capturedBoundIn(e, captured) ) {
-        // Baseline materialization generalized to several captured
-        // attributes: the label domain is the dedup of the captured tuples
-        // over the parent's own generator chain (so the attributes stay
-        // *correlated*); the dictionary evaluates `sub` once per domain
-        // tuple. Labels hash all components, identically on both sides.
+      } else if (capturedBoundIn(e, captured)) {
+        // Label-domain materialization (Fig. 5): the label domain is the
+        // dedup of the captured tuples over the parent's own generator chain
+        // (so several captured attributes stay *correlated*); the dictionary
+        // evaluates `sub` once per domain tuple. Labels hash all components,
+        // identically on both sides, so a NULL component still gives a label
+        // the unshredding join matches.
         parentLabels += b -> NewLabelE(captured.map { case (v, a, t) => Proj(VarRef(v, t), a) })
         val ctxFields = captured.map { case (v, a, t) => s"${v}__$a" -> (Proj(VarRef(v, t), a): Expr) }
         val domName = s"${dictName(qname, path :+ b)}__dom"
@@ -185,37 +188,10 @@ object Shredder {
             ForUnion(cv, InputBag(domName, BagTpe(domElem)), addLabel(comp, childLabel))
         }
         Child(b, dictName(qname, path :+ b), childExpr, Some(domain))
-      } else if (captured.size == 1) {
-        // Baseline materialization (Fig. 5): iterate the label domain
-        // produced from the parent assignment.
-        val (v, a, t) = captured.head
-        val capturedTpe = t match {
-          case tt: TupleTpe => tt(a)
-          case other        => other
-        }
-        parentLabels += b -> Proj(VarRef(v, t), a)
-        // Single-component labels pass the captured value through, so the
-        // label-domain tuple keeps the captured attribute's scalar type.
-        val parentElem = TupleTpe(ListMap(head.fields.toSeq.map {
-          case (n, ex) if ex.tpe.isInstanceOf[BagTpe] =>
-            n -> (if (n == b) capturedTpe else LabelTpe)
-          case (n, ex) => n -> ex.tpe
-        }: _*))
-        val domName = s"${dictName(qname, path :+ b)}__dom"
-        val tv = VarDef("__t_" + b, parentElem)
-        val domain = Assignment(domName,
-          DedupE(ForUnion(tv, InputBag(asgName, BagTpe(parentElem)),
-            Sng(Tup("lbl" -> Proj(VarRef(tv), b))))))
-        val domElem = TupleTpe("lbl" -> capturedTpe)
-        val lv = VarDef("__l_" + b, domElem)
-        val sub2 = projSubst(sub, v, a, Proj(VarRef(lv), "lbl"))
-        val childExpr = ForUnion(lv, InputBag(domName, BagTpe(domElem)),
-          addLabel(sub2, Proj(VarRef(lv), "lbl")))
-        Child(b, dictName(qname, path :+ b), childExpr, Some(domain))
       } else
         throw ShredError(
-          s"nested attribute $b captures ${captured.map(c => s"${c._1}.${c._2}")} " +
-          "without matching equalities; unsupported")
+          s"nested attribute $b captures ${captured.map(c => s"${c._1}.${c._2}")}, " +
+          "not all bound by its level's generators; unsupported")
     }
 
     // Parent assignment: bag attributes become labels.

@@ -102,8 +102,11 @@ class LocalEvalSpec extends AnyFunSuite {
     assert(g1.toSet == Set(Map("pid" -> 1L, "qty" -> 2.0), Map("pid" -> 2L, "qty" -> 3.0)))
   }
 
-  test("labels: single component passes through, multiple hash deterministically") {
-    assert(eval(NewLabelE(Seq(Const(42L, IntTpe))), env) == 42L)
+  test("labels: every component is hashed; a NULL component gives a non-NULL label") {
+    def label(vs: Any*) = eval(NewLabelE(vs.map(Const(_, IntTpe))), env)
+    assert(label(42L) != 42L && label(42L) == label(42L))
+    assert(label(null) != null && label(null) != label(0L))
+    assert(label(null, 5L) != label(5L, null) && label(null, 5L) != label(0L, 5L))
     val a = eval(NewLabelE(Seq(Const(1, IntTpe), Const("x", StringTpe))), env)
     val b = eval(NewLabelE(Seq(Const(1, IntTpe), Const("x", StringTpe))), env)
     val c = eval(NewLabelE(Seq(Const(2, IntTpe), Const("x", StringTpe))), env)

@@ -23,9 +23,8 @@ class TypesSpec extends AnyFunSuite {
     assertThrows[RuntimeException](copT.elem("nope"))
   }
 
-  test("bagAttrs and scalarAttrs in declaration order") {
+  test("bagAttrs in declaration order") {
     assert(copT.elem.bagAttrs == Seq("corders"))
-    assert(copT.elem.scalarAttrs == Seq("c_name"))
   }
 
   test("isFlat") {

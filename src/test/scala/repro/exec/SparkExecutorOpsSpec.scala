@@ -96,12 +96,21 @@ class SparkExecutorOpsSpec extends SparkSpec {
     assert(exec(p, "kv" -> kv).count() == 3)
   }
 
-  test("LabelV: single component passes through; multiple components hash") {
+  test("LabelV: every component is hashed; NULL gives a non-NULL label") {
     val single = Project(Source("kv"), Seq("l" -> LabelV(Seq(ColRef("k")))))
-    assert(exec(single, "kv" -> kv).select("l").collect().map(_.getLong(0)).toSet == Set(1L, 2L, 3L))
+    val ones = exec(single, "kv" -> kv).select("l").collect().map(_.getLong(0)).toSet
+    assert(ones.size == 3 && (ones & Set(1L, 2L, 3L)).isEmpty)
     val multi = Project(Source("kv"), Seq("l" -> LabelV(Seq(ColRef("k"), ColRef("v")))))
     val ls = exec(multi, "kv" -> kv).select("l").collect().map(_.getLong(0))
     assert(ls.distinct.length == 4)
+    // NULL in either position, in both, or neither: four different labels.
+    val ab = Seq((Some(5L), Some(5L)), (None, Some(5L)), (Some(5L), None), (None, None)).toDF("a", "b")
+    for (comps <- Seq(Seq("a"), Seq("a", "b"))) {
+      val p = Project(Source("ab"), Seq("l" -> LabelV(comps.map(ColRef))))
+      val rows = exec(p, "ab" -> ab).select("l").collect()
+      assert(rows.forall(!_.isNullAt(0)), comps)
+      assert(rows.map(_.getLong(0)).distinct.length == (if (comps.size == 1) 2 else 4), comps)
+    }
   }
 
   test("IfV evaluates conditionally") {

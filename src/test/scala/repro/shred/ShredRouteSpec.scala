@@ -91,7 +91,7 @@ class ShredRouteSpec extends SparkSpec {
     TestUtil.assertBagEq(out("OUT__D_corders_oparts"), expect("COP2n__D_corders_oparts"))
   }
 
-  test("baseline label-domain materialization computes correctly") {
+  test("correlated label-domain materialization computes correctly") {
     import repro.core._
     import repro.core.NRC._
     val xT = TupleTpe("k" -> IntTpe)
@@ -108,5 +108,37 @@ class ShredRouteSpec extends SparkSpec {
     val sq = Shredder.shred("OUT", q)
     val df = shredUnshred(sq, cat)
     TestUtil.assertBagEq(df, TestUtil.localEval(q, TestUtil.toLocal(cat)))
+  }
+
+  test("a NULL captured attribute keeps its nested bag") {
+    import scala.collection.immutable.ListMap
+    import repro.core._
+    import repro.core.NRC._
+    import spark.implicits._
+    // for x in X ∪ {(<attrs> := x.<attrs>, b := for y in Y ∪ {(s := y.v, t_<a> := x.<a>)})}:
+    // no equality relates y to x, so b is materialized over a label domain.
+    def query(attrs: Seq[String]): Expr = {
+      val xT = TupleTpe(ListMap(attrs.map(_ -> (IntTpe: Tpe)): _*))
+      val yT = TupleTpe("v" -> IntTpe)
+      val x = VarDef("x", xT); val y = VarDef("y", yT)
+      val inner = ForUnion(y, InputBag("Y", BagTpe(yT)),
+        Sng(Tup(ListMap(("s" -> (Proj(VarRef(y), "v"): Expr)) +:
+          attrs.map(a => s"t_$a" -> (Proj(VarRef(x), a): Expr)): _*))))
+      ForUnion(x, InputBag("X", BagTpe(xT)),
+        Sng(Tup(ListMap(attrs.map(a => a -> (Proj(VarRef(x), a): Expr)) :+ ("b" -> inner): _*))))
+    }
+    val y = Seq(10L, 20L).toDF("v")
+    // (NULL, 5) and (5, NULL) must get different labels, hence bags.
+    val inputs = Seq(
+      Seq("k")      -> Seq(Some(1L), None, Some(2L)).toDF("k"),
+      Seq("k", "j") -> Seq((Some(1L), Some(5L)), (None, Some(5L)), (Some(5L), None)).toDF("k", "j"))
+    for ((attrs, x) <- inputs) {
+      val q = query(attrs)
+      val cat = Map("X" -> x, "Y" -> y)
+      val df = shredUnshred(Shredder.shred("OUT", q), cat)
+      val tag = s"captured ${attrs.mkString(", ")}"
+      TestUtil.assertBagEq(df, TestUtil.localEval(q, TestUtil.toLocal(cat)), tag)
+      TestUtil.assertBagEq(df, standard(q, cat))
+    }
   }
 }
