@@ -119,7 +119,10 @@ object LocalEval {
     case other => sys.error(s"intOp $other")
   }
 
-  private def cmp(op: String, l: Any, r: Any): Boolean = {
+  /** A comparison with a NULL operand is false, as in a Spark filter or
+    * join condition.
+    */
+  private def cmp(op: String, l: Any, r: Any): Boolean = l != null && r != null && {
     val c: Int = (l, r) match {
       case (a: String, b: String)   => a.compareTo(b)
       case (a: Boolean, b: Boolean) => a.compareTo(b)

@@ -12,13 +12,22 @@ import repro.core.RealTpe
   *    rewritten to pre-aggregate the left side grouped by its join keys and
   *    retained grouping attributes — the partial-sums-before-the-Part-join
   *    rewrite of Example 2 — applied recursively down join chains.
-  *
-  * The join-then-nest → cogroup fusion of §3.3 needs no plan rewrite here:
-  * the unnester keys each Γ on a prefix of the join keys, so Catalyst reuses
-  * the join's hash partitioning for the grouping (one shuffle, as a cogroup).
+  *  - **Join→nest partitioning reuse** (the cogroup of §3.3): a Γ⊎/Γ⁺
+  *    that sits on a join through Projects and Selects only, and whose key
+  *    holds the unique ID an `addIndex` gave the join's left side, also
+  *    groups by the join's left keys. The ID fixes its left row, so the
+  *    keys are a function of the ID and the groups do not change. The key
+  *    then contains the join's hash partitioning, and Spark runs the nest
+  *    in the join's stage: one shuffle, as a cogroup, not two. Every nest
+  *    feeds, directly or through a join, a Project or an enclosing nest
+  *    that names its columns, so the extra column never reaches the
+  *    output. AQE's skew-join handling cannot split such a join
+  *    without a second shuffle, so it leaves it whole; skew is the job of
+  *    the §5 skew-aware route, which runs at `pushProjections`.
   *
   * `Optimizer.level` mirrors the E.4 experiment: 0 = none, 1 = pushed
-  * projections, 2 = full (projections + aggregation pushing).
+  * projections, 2 = full (projections, aggregation pushing and partitioning
+  * reuse).
   */
 object Optimizer {
 
@@ -26,7 +35,7 @@ object Optimizer {
 
   val pushProjections: Plan => Plan = p => prune(p, None)
 
-  val full: Plan => Plan = p => prune(pushAgg(p), None)
+  val full: Plan => Plan = p => prune(cogroup(pushAgg(p)), None)
 
   def level(n: Int): Plan => Plan = n match {
     case 0 => none
@@ -141,6 +150,50 @@ object Optimizer {
       case other => mapChildrenPlan(other, push)
     }
     push(p)
+  }
+
+  // ------------------------------------------- join→nest partitioning reuse
+
+  private def cogroup(p: Plan): Plan = mapChildrenPlan(p, cogroup) match {
+    case NestBag(c, g, sc, out, pres) =>
+      val (c2, g2) = groupOnJoinKeys(c, g)
+      NestBag(c2, g2, sc, out, pres)
+    case NestSum(c, g, sums) =>
+      val (c2, g2) = groupOnJoinKeys(c, g)
+      NestSum(c2, g2, sums)
+    case other => other
+  }
+
+  /** The nest input and group with the join's missing left keys added, when
+    * `child` reaches a join through Projects and Selects whose left side
+    * reaches an `addIndex` with its ID in `group`, every Project on the way
+    * passing the ID unchanged.
+    */
+  private def groupOnJoinKeys(child: Plan, group: Seq[String]): (Plan, Seq[String]) = {
+    def index(p: Plan): Option[String] = p match {
+      case AddIndex(_, id)  => Some(id)
+      case Select(c, _)     => index(c)
+      case Project(c, cols) => index(c).filter(id => cols.contains(id -> ColRef(id)))
+      case _                => None
+    }
+    def join(p: Plan): Option[(String, Seq[String])] = p match {
+      case Join(l, _, lk, _, _) if lk.nonEmpty => index(l).map(_ -> lk)
+      case Select(c, _)     => join(c)
+      case Project(c, cols) => join(c).filter { case (id, _) => cols.contains(id -> ColRef(id)) }
+      case _                => None
+    }
+    def keep(p: Plan, cols: Seq[String]): Plan = p match {
+      case Project(c, pc) =>
+        Project(keep(c, cols), pc ++ cols.filterNot(pc.map(_._1).contains).map(k => k -> ColRef(k)))
+      case Select(c, cond) => Select(keep(c, cols), cond)
+      case j               => j
+    }
+    join(child) match {
+      case Some((id, lk)) if group.contains(id) =>
+        val extra = lk.filterNot(group.contains)
+        (keep(child, extra), group ++ extra)
+      case _ => (child, group)
+    }
   }
 
   /** Peel `Project` layers, composing their column definitions. */

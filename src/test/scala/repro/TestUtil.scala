@@ -2,6 +2,8 @@ package repro
 
 import java.util.UUID
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.scalatest.Assertions._
 import repro.bench.{Meter, SparkWork}
 import repro.core.{LocalEval, SparkValues}
@@ -39,4 +41,12 @@ object TestUtil {
     val (sc, tag) = (spark.sparkContext, s"testutil-${UUID.randomUUID()}")
     Meter.bill(spark, tag) { sc.addJobTag(tag); try block finally sc.removeJobTag(tag) }
   }
+
+  /** Runs `df` and counts the shuffle exchanges of its final adaptive plan. */
+  def shuffleExchanges(df: DataFrame): Int = {
+    df.collect()
+    AdaptivePlan.collect(df.queryExecution.executedPlan) { case e: ShuffleExchangeExec => e }.size
+  }
+
+  private object AdaptivePlan extends AdaptiveSparkPlanHelper
 }

@@ -1,5 +1,6 @@
 package repro.core.plan
 
+import java.sql.Date
 import repro.{SparkSpec, TestData, TestUtil}
 import repro.core.exec.SparkExecutor
 import repro.data.NestedTpch
@@ -12,6 +13,18 @@ class OptimizerSpec extends SparkSpec {
 
   private lazy val t       = TestData.tables(spark)
   private lazy val catalog = NestedTpch.catalog(t)
+
+  /** The test tables plus an order with a NULL key and a second order with
+    * key 1: an order key is then a function of the order row's ID, not a key
+    * of the orders.
+    */
+  private lazy val sharedKeyCatalog = {
+    import spark.implicits._
+    val extra = Seq[(Option[Long], Long, String, Double, Date)](
+      (None, 3L, "O", 90.0, Date.valueOf("1997-06-01")),
+      (Some(1L), 2L, "F", 45.0, Date.valueOf("1996-01-15"))).toDF(t.orders.columns.toIndexedSeq: _*)
+    NestedTpch.catalog(t.copy(orders = t.orders.unionByName(extra)))
+  }
 
   private def countNestSum(p: Plan): Int =
     (p match { case _: NestSum => 1; case _ => 0 }) + p.children.map(countNestSum).sum
@@ -86,5 +99,38 @@ class OptimizerSpec extends SparkSpec {
       val opt = new SparkExecutor(cat).execute(Optimizer.level(lvl)(Unnester.compile(q)))
       TestUtil.assertBagEq(opt, base)
     }
+  }
+
+  // ------------------------------------------- join→nest partitioning reuse
+
+  for (level <- 1 to 4; wide <- Seq(false, true)) {
+    val tag = s"flat-to-nested level $level ${if (wide) "wide" else "narrow"}"
+    test(s"$tag: every level matches LocalEval on NULL and shared order keys") {
+      val q = TpchQueries.flatToNested(level, wide)
+      val expected = TestUtil.localEval(q, TestUtil.toLocal(sharedKeyCatalog))
+      for (lvl <- 0 to 2) {
+        val df = new SparkExecutor(sharedKeyCatalog).execute(Optimizer.level(lvl)(Unnester.compile(q)))
+        TestUtil.assertBagEq(df, expected, s"$tag, optimizer level $lvl")
+      }
+    }
+  }
+
+  test("a nest over a join after an outer unnest keeps its key") {
+    // T4's Γ+ sits on the Part join, whose left side is outer-μ over the
+    // indexed order: the ID there does not fix the lineitem's part key.
+    val plan = Unnester.compile(TpchQueries.nestedToNested(2, wide = false))
+    def partJoinAfterUnnest(p: Plan): Boolean = p match {
+      case Join(_: Unnest, _, Seq("l2__l_partkey"), _, _) => true
+      case _ => p.children.exists(partJoinAfterUnnest)
+    }
+    assert(partJoinAfterUnnest(plan))
+    assert(Optimizer.full(plan) == Optimizer.pushProjections(plan))
+  }
+
+  test("the full level runs flat-to-nested level 4 wide with one shuffle fewer") {
+    val plan = Unnester.compile(TpchQueries.flatToNested(4, wide = true))
+    def exchanges(optimize: Plan => Plan) =
+      TestUtil.shuffleExchanges(new SparkExecutor(catalog).execute(optimize(plan)))
+    assert(exchanges(Optimizer.full) == exchanges(Optimizer.pushProjections) - 1)
   }
 }

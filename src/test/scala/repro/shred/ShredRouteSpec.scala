@@ -91,6 +91,14 @@ class ShredRouteSpec extends SparkSpec {
     TestUtil.assertBagEq(out("OUT__D_corders_oparts"), expect("COP2n__D_corders_oparts"))
   }
 
+  test("T1's shredded assignments run with no shuffle exchange") {
+    // Domain elimination makes each dictionary a projection of one input.
+    val sq = Shredder.shred("T1", TpchQueries.flatToNested(4, wide = true))
+    val exchanges = sq.assignments.map(a =>
+      a.name -> TestUtil.shuffleExchanges(Routes.standard(a.expr, catalog)))
+    assert(exchanges.size == 5 && exchanges.forall(_._2 == 0), exchanges)
+  }
+
   test("correlated label-domain materialization computes correctly") {
     import repro.core._
     import repro.core.NRC._
