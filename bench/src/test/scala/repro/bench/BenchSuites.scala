@@ -8,53 +8,33 @@ import Harness._
   * (default 0.1) and BENCH_TIMEOUT_S (default 300).
   */
 
-class Fig7FlatToNestedBench extends SparkSpec {
-  test("T1: Fig. 7 flat-to-nested (narrow+wide, levels 0-4)") {
-    val rows = Fig7.run(spark, sf, families = Seq("flat-to-nested"))
-    printTable("T1 Fig7 flat-to-nested", rows)
-    assert(rows.nonEmpty && rows.count(_.ok) >= rows.size / 2)
+/** Runs table `id` of [[Exhibits]] and asserts `sanityCheck` on its rows. */
+abstract class TableBench(id: String, sanityCheck: Seq[Result] => Boolean = _.nonEmpty)
+    extends SparkSpec {
+  private val exhibit = Exhibits(id)
+  test(s"$id: ${exhibit.title}") {
+    assert(sanityCheck(exhibit.report(spark, sf)))
   }
 }
 
-class Fig7NestedToNestedBench extends SparkSpec {
-  test("T2: Fig. 7 nested-to-nested (narrow+wide, levels 0-4)") {
-    val rows = Fig7.run(spark, sf, families = Seq("nested-to-nested"))
-    printTable("T2 Fig7 nested-to-nested", rows)
-    assert(rows.nonEmpty && rows.count(_.ok) >= rows.size / 2)
-  }
+object TableBench {
+  val halfOk: Seq[Result] => Boolean = rows => rows.nonEmpty && rows.count(_.ok) >= rows.size / 2
+  val shredOk: Seq[Result] => Boolean =
+    rows => rows.nonEmpty && rows.filter(_.strategy == "Shred").forall(_.ok)
 }
 
-class Fig7NestedToFlatBench extends SparkSpec {
-  test("T3: Fig. 7 nested-to-flat (narrow+wide, levels 0-4)") {
-    val rows = Fig7.run(spark, sf, families = Seq("nested-to-flat"))
-    printTable("T3 Fig7 nested-to-flat", rows)
-    assert(rows.nonEmpty && rows.count(_.ok) >= rows.size / 2)
-  }
-}
+import TableBench._
 
-class Fig8SkewBench extends SparkSpec {
-  test("T4: Fig. 8 skew-handling (nested-to-nested narrow L2, skew 0-4)") {
-    val rows = Fig8.run(spark, sf)
-    printTable("T4 Fig8 skew-handling", rows)
-    assert(rows.nonEmpty && rows.count(_.ok) >= rows.size / 2)
-  }
-}
-
-class Fig9BioE2EBench extends SparkSpec {
-  test("T5: Fig. 9 biomedical E2E pipeline (Steps 1-5)") {
-    val rows = Fig9.run(spark, sf)
-    printTable("T5 Fig9 biomedical E2E", rows)
-    assert(rows.nonEmpty && rows.filter(_.strategy == "Shred").forall(_.ok))
-  }
-}
-
-class Fig12ClinicalBench extends SparkSpec {
-  test("T6: Fig. 12 clinical queries C1-C3 (small+large)") {
-    val rows = Fig12.run(spark, sf, sf * 5)
-    printTable("T6 Fig12 clinical queries", rows)
-    assert(rows.nonEmpty && rows.filter(_.strategy == "Shred").forall(_.ok))
-  }
-}
+class Fig7FlatToNestedBench   extends TableBench("T1", halfOk)
+class Fig7NestedToNestedBench extends TableBench("T2", halfOk)
+class Fig7NestedToFlatBench   extends TableBench("T3", halfOk)
+class Fig8SkewBench           extends TableBench("T4", halfOk)
+class Fig9BioE2EBench         extends TableBench("T5", shredOk)
+class Fig12ClinicalBench      extends TableBench("T6", shredOk)
+class E4OptLevelsBench        extends TableBench("T8")
+class E6NoAggPushBench        extends TableBench("T9")
+class E7SkewOverheadBench     extends TableBench("T10")
+class E1RddVsDatasetBench     extends TableBench("T11")
 
 class AppDSharingBench extends SparkSpec {
   test("T7: App. D succinct representation / sharing counts") {
@@ -66,37 +46,5 @@ class AppDSharingBench extends SparkSpec {
     println(f"| reduction factor             | ${c.flattenedCandidates.toDouble / math.max(1, c.dictCandidates)}%.2fx")
     println(s"==== end T7 ====")
     assert(c.dictCandidates <= c.flattenedCandidates)
-  }
-}
-
-class E4OptLevelsBench extends SparkSpec {
-  test("T8: App. E.4 standard-route optimization levels") {
-    val rows = E4.run(spark, sf)
-    printTable("T8 E4 optimization levels", rows)
-    assert(rows.nonEmpty)
-  }
-}
-
-class E6NoAggPushBench extends SparkSpec {
-  test("T9: App. E.6 skew-handling without aggregation pushing") {
-    val rows = Fig8.run(spark, sf, skews = Seq(0, 2, 4), pushAggForUnaware = false, table = "E6")
-    printTable("T9 E6 skew without agg pushing", rows)
-    assert(rows.nonEmpty)
-  }
-}
-
-class E7SkewOverheadBench extends SparkSpec {
-  test("T10: App. E.7 skew-handling overhead on non-skewed data") {
-    val rows = Fig8.run(spark, sf, skews = Seq(0), table = "E7")
-    printTable("T10 E7 skew overhead (skew 0)", rows)
-    assert(rows.nonEmpty)
-  }
-}
-
-class E1RddVsDatasetBench extends SparkSpec {
-  test("T11: App. E.1 RDD vs Dataset executors") {
-    val rows = E1.run(spark, sf)
-    printTable("T11 E1 RDD vs Dataset", rows)
-    assert(rows.nonEmpty)
   }
 }

@@ -41,9 +41,7 @@ object E4 {
   def run(spark: SparkSession, sf: Double, levels: Seq[Int] = Seq(0, 1, 2),
           widths: Seq[Boolean] = Seq(false, true)): Seq[Result] = {
     val out = Seq.newBuilder[Result]
-    val t0 = NestedTpch.tables(spark, sf)
-    val t = t0.copy(lineitem = materialize(t0.lineitem), orders = materialize(t0.orders),
-      customer = materialize(t0.customer), part = materialize(t0.part))
+    val t = NestedTpch.tables(spark, sf).map(materialize)
     val flatCat = NestedTpch.catalog(t)
 
     for (wide <- widths; level <- levels) {
@@ -66,7 +64,7 @@ object E4 {
         nested.unpersist()
       }
     }
-    Seq(t.lineitem, t.orders, t.customer, t.part).foreach(_.unpersist())
+    t.all.foreach(_.unpersist())
     out.result()
   }
 }
@@ -76,9 +74,7 @@ object E1 {
 
   def run(spark: SparkSession, sf: Double, levels: Seq[Int] = Seq(0, 1, 2)): Seq[Result] = {
     val out = Seq.newBuilder[Result]
-    val t0 = NestedTpch.tables(spark, sf)
-    val t = t0.copy(lineitem = materialize(t0.lineitem), orders = materialize(t0.orders),
-      customer = materialize(t0.customer), part = materialize(t0.part))
+    val t = NestedTpch.tables(spark, sf).map(materialize)
     val flatCat = NestedTpch.catalog(t)
 
     for (level <- levels) {
@@ -107,7 +103,7 @@ object E1 {
         cleanup()
       }
     }
-    Seq(t.lineitem, t.orders, t.customer, t.part).foreach(_.unpersist())
+    t.all.foreach(_.unpersist())
     out.result()
   }
 }

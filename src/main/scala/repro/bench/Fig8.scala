@@ -1,12 +1,10 @@
 package repro.bench
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.baseline.SparkSQLBaseline
-import repro.core.exec.Routes
 import repro.core.plan.Optimizer
 import repro.data.NestedTpch
 import repro.queries.TpchQueries
-import repro.shred.Shredder
 import repro.skew.{SkewConfig, SkewOps}
 import Harness._
 
@@ -30,45 +28,27 @@ object Fig8 {
 
     for (skew <- skews) {
       val cfg = s"skew $skew"
-      val t0 = NestedTpch.tables(spark, sf, skew)
-      val t = t0.copy(lineitem = materialize(t0.lineitem), orders = materialize(t0.orders),
-        customer = materialize(t0.customer), part = materialize(t0.part))
-      val flatCat = NestedTpch.catalog(t)
+      val t = NestedTpch.tables(spark, sf, skew).map(materialize)
       // Narrow materialized COP input (the paper's skew experiment input).
       val nested = materialize(NestedTpch.nestedInput(t, level, wide = false))
       val shredded = NestedTpch.shreddedInput(t, level, wide = false)
         .map { case (k, v) => k -> materialize(v) }
       val inName = NestedTpch.inputName(level, wide = false)
-      val cat = flatCat + (inName -> nested) ++ shredded
+      val cat = NestedTpch.catalog(t) + (inName -> nested) ++ shredded
       val q = TpchQueries.nestedToNested(level, wide = false)
       val optUnaware = if (pushAggForUnaware) Optimizer.full else Optimizer.pushProjections
-      val optAware   = Optimizer.pushProjections // no aggregation pushing
 
       out += measure(spark, table, cfg, "SparkSQL") {
         force(SparkSQLBaseline.nestedToNested(spark, nested, t.part, level, wide = false))
       }
-      out += measure(spark, table, cfg, "Standard") {
-        force(Routes.standard(q, cat, optUnaware))
-      }
-      out += measure(spark, table, cfg, "Standard_skew") {
-        force(Routes.standard(q, cat, optAware, SkewOps.skewJoin(skewCfg)))
-      }
-      val sq = Shredder.shred("OUT", q)
-      var c1: Map[String, DataFrame] = cat
-      out += measure(spark, table, cfg, "Shred") {
-        c1 = Routes.run(sq.program, cat, optUnaware, each = (_, df) => materialize(df))
-      }
-      Fig7.unpersistOutputs(sq, c1)
-      var c2: Map[String, DataFrame] = cat
-      out += measure(spark, table, cfg, "Shred_skew") {
-        c2 = Routes.run(sq.program, cat, optAware, SkewOps.skewJoin(skewCfg),
-          (_, df) => materialize(df))
-      }
-      Fig7.unpersistOutputs(sq, c2)
+      out ++= measureRoutes(spark, table, cfg, q, cat, optUnaware, unshred = false)
+      // Skew-aware: no aggregation pushing, the light/heavy split instead.
+      out ++= measureRoutes(spark, table, cfg, q, cat, Optimizer.pushProjections,
+        SkewOps.skewJoin(skewCfg), suffix = "_skew", unshred = false)
 
       nested.unpersist()
       shredded.values.foreach(_.unpersist())
-      Seq(t.lineitem, t.orders, t.customer, t.part).foreach(_.unpersist())
+      t.all.foreach(_.unpersist())
     }
     out.result()
   }

@@ -6,6 +6,10 @@ import scala.concurrent.duration._
 import scala.concurrent.ExecutionContext.Implicits.global
 import scala.util.{Failure, Success, Try}
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.NRC.Expr
+import repro.core.exec.{Routes, SparkExecutor}
+import repro.core.plan.{Optimizer, Plan}
+import repro.shred.{Shredder, Unshredder}
 
 /** Benchmark harness: wall-clock + shuffle-write bytes per run (billed by
   * job tag through `Meter`), with a cancel-on-timeout guard that
@@ -62,6 +66,33 @@ object Harness {
         Result(table, config, strategy, ms, mb, ok = false,
           note = e.getClass.getSimpleName + ": " + Option(e.getMessage).getOrElse("").take(80))
     }
+  }
+
+  /** The route sequence of every §6 exhibit: Standard, then Shred with every
+    * dictionary materialized, then (if `unshred`) Unshred of Shred's output.
+    * Strategy names end in `suffix`. Shred's outputs are released before
+    * this returns, also those of a run that failed part-way.
+    */
+  def measureRoutes(spark: SparkSession, table: String, config: String, q: Expr,
+                    cat: Map[String, DataFrame],
+                    optimize: Plan => Plan = Optimizer.full,
+                    joinImpl: SparkExecutor.JoinImpl = SparkExecutor.defaultJoin,
+                    suffix: String = "", unshred: Boolean = true): Seq[Result] = {
+    val std = measure(spark, table, config, "Standard" + suffix) {
+      force(Routes.standard(q, cat, optimize, joinImpl))
+    }
+    val sq = Shredder.shred("OUT", q)
+    val dicts = Seq.newBuilder[DataFrame]
+    var shredCat = cat
+    val shred = measure(spark, table, config, "Shred" + suffix) {
+      shredCat = Routes.run(sq.program, cat, optimize, joinImpl,
+        (_, df) => { val m = materialize(df); dicts += m; m })
+    }
+    val unsh = if (unshred) Seq(measure(spark, table, config, "Unshred" + suffix) {
+      force(Unshredder.unshred("OUT", sq.outTpe, shredCat))
+    }) else Nil
+    dicts.result().foreach(_.unpersist())
+    std +: shred +: unsh
   }
 
   /** Force a DataFrame fully (all columns, no pruning). */

@@ -46,17 +46,17 @@ object LocalEval {
     case Tup(fs)        => fs.map { case (n, x) => n -> eval(x, env) }.toMap
     case Arith(op, l, r) => arith(op, eval(l, env), eval(r, env))
     case Cmp(op, l, r)   => cmp(op, eval(l, env), eval(r, env))
-    case And(l, r)       => eval(l, env).asInstanceOf[Boolean] && eval(r, env).asInstanceOf[Boolean]
-    case Or(l, r)        => eval(l, env).asInstanceOf[Boolean] || eval(r, env).asInstanceOf[Boolean]
-    case Not(x)          => !eval(x, env).asInstanceOf[Boolean]
+    case And(l, r)       => and3(eval(l, env), eval(r, env))
+    case Or(l, r)        => or3(eval(l, env), eval(r, env))
+    case Not(x)          => not3(eval(x, env))
     case ScalarIf(c, t, f) =>
-      if (eval(c, env).asInstanceOf[Boolean]) eval(t, env) else eval(f, env)
+      if (eval(c, env) == true) eval(t, env) else eval(f, env)
     case Empty(_)  => Seq.empty[Tuple]
     case Sng(x)    => Seq(eval(x, env).asInstanceOf[Tuple])
     case ForUnion(x, s, b) =>
       evalBag(s, env).flatMap(t => evalBag(b, env.bind(x.name, t)))
     case IfThenBag(c, t) =>
-      if (eval(c, env).asInstanceOf[Boolean]) evalBag(t, env) else Seq.empty[Tuple]
+      if (eval(c, env) == true) evalBag(t, env) else Seq.empty[Tuple]
     case BagUnion(l, r) => evalBag(l, env) ++ evalBag(r, env)
     case Let(x, v, b)   => eval(b, env.bind(x.name, eval(v, env)))
     case DedupE(x)      => evalBag(x, env).distinct
@@ -119,10 +119,11 @@ object LocalEval {
     case other => sys.error(s"intOp $other")
   }
 
-  /** A comparison with a NULL operand is false, as in a Spark filter or
-    * join condition.
-    */
-  private def cmp(op: String, l: Any, r: Any): Boolean = l != null && r != null && {
+  // Three-valued (Kleene) logic, NULL standing for unknown, as in Spark; an
+  // `if` (and so a filter or a join condition) reads NULL as false.
+
+  /** A comparison with a NULL operand is NULL. */
+  private def cmp(op: String, l: Any, r: Any): Any = if (l == null || r == null) null else {
     val c: Int = (l, r) match {
       case (a: String, b: String)   => a.compareTo(b)
       case (a: Boolean, b: Boolean) => a.compareTo(b)
@@ -134,6 +135,20 @@ object LocalEval {
       case "<" => c < 0; case "<=" => c <= 0; case ">" => c > 0; case ">=" => c >= 0
     }
   }
+
+  private def and3(l: Any, r: => Any): Any = if (l == false) false else (l, r) match {
+    case (_, false)   => false
+    case (true, true) => true
+    case _            => null
+  }
+
+  private def or3(l: Any, r: => Any): Any = if (l == true) true else (l, r) match {
+    case (_, true)      => true
+    case (false, false) => false
+    case _              => null
+  }
+
+  private def not3(x: Any): Any = x match { case null => null; case b: Boolean => !b }
 
   private def isNum(v: Any): Boolean = v match {
     case _: Int | _: Long | _: Double | _: Float | _: Short | _: java.math.BigDecimal => true

@@ -1,8 +1,8 @@
 package repro.core.exec
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Row}
-import repro.core.LocalEval
+import org.apache.spark.sql.DataFrame
+import repro.core.{LocalEval, SparkValues}
 import repro.core.plan._
 
 /** Plan execution over RDDs of generic tuples (paper Fig. 11) — the
@@ -35,8 +35,11 @@ final class RddExecutor(catalog: Map[String, RDD[Map[String, Any]]]) {
           if (rEmpty.value) lr else prod
         }
       } else {
+        // A NULL key equals no key, as in Spark: right rows with one never
+        // match, so a left row with one is padded (outer) or dropped (inner).
         val kl = lr.keyBy(m => lk.map(k => norm(m.getOrElse(k, null))))
         val kr = rr.keyBy(m => rk.map(k => norm(m.getOrElse(k, null))))
+          .filter { case (key, _) => !key.contains(null) }
         if (leftOuter)
           kl.leftOuterJoin(kr).map { case (_, (a, ob)) => a ++ ob.getOrElse(Map.empty) }
         else kl.join(kr).map { case (_, (a, b)) => a ++ b }
@@ -108,16 +111,7 @@ final class RddExecutor(catalog: Map[String, RDD[Map[String, Any]]]) {
 object RddExecutor {
 
   /** DataFrame → RDD of generic tuples (done outside timed regions). */
-  def fromDataFrame(df: DataFrame): RDD[Map[String, Any]] = {
-    val names = df.schema.fieldNames
-    df.rdd.map(r => names.zipWithIndex.map { case (n, i) => n -> convRow(r.get(i)) }.toMap)
-  }
-
-  private def convRow(v: Any): Any = v match {
-    case r: Row => r.schema.fieldNames.zipWithIndex.map { case (n, i) => n -> convRow(r.get(i)) }.toMap
-    case s: scala.collection.Seq[_] => s.toSeq.map(convRow)
-    case other => other
-  }
+  def fromDataFrame(df: DataFrame): RDD[Map[String, Any]] = df.rdd.map(SparkValues.rowToTuple)
 
   /** RDD result → local bag for comparisons. */
   def toLocal(rdd: RDD[Map[String, Any]]): LocalEval.Bag = rdd.collect().toSeq

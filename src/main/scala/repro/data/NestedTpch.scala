@@ -31,7 +31,11 @@ object NestedTpch {
   val BagNames = Seq("oparts", "corders", "ncusts", "rnations")
 
   final case class Tables(lineitem: DataFrame, orders: DataFrame, customer: DataFrame,
-                          nation: DataFrame, region: DataFrame, part: DataFrame)
+                          nation: DataFrame, region: DataFrame, part: DataFrame) {
+    def all: Seq[DataFrame] = Seq(lineitem, orders, customer, nation, region, part)
+    def map(f: DataFrame => DataFrame): Tables =
+      Tables(f(lineitem), f(orders), f(customer), f(nation), f(region), f(part))
+  }
 
   /** Base flat tables with the derived name columns the benchmark needs. */
   def tables(spark: SparkSession, sf: Double, skewFactor: Int = 0): Tables = {

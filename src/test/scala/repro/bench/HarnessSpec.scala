@@ -3,9 +3,15 @@ package repro.bench
 import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import scala.jdk.CollectionConverters._
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import repro.SparkSpec
+import repro.{SparkSpec, TestData}
+import repro.core.plan.Optimizer
+import repro.data.NestedTpch
+import repro.queries.TpchQueries
+import repro.skew.SkewOps
 
-/** The benchmark harness bills each measured run's Spark jobs to that run. */
+/** The benchmark harness bills each measured run's Spark jobs to that run,
+  * measures the route sequence of every exhibit, and names the exhibits.
+  */
 class HarnessSpec extends SparkSpec {
 
   test("every job of a measured run carries that run's job tag") {
@@ -56,5 +62,24 @@ class HarnessSpec extends SparkSpec {
     other.join()
     assert(r.ok, r)
     assert(r.shuffleMB == 0, r)
+  }
+
+  test("measureRoutes measures Standard, Shred and Unshred, and releases Shred's outputs") {
+    val cat = NestedTpch.catalog(TestData.tables(spark))
+    val q = TpchQueries.flatToNested(2, wide = false)
+    val persisted = spark.sparkContext.getPersistentRDDs.size
+    val rows = Harness.measureRoutes(spark, "T", "L2", q, cat)
+    assert(rows.map(_.strategy) == Seq("Standard", "Shred", "Unshred") && rows.forall(_.ok), rows)
+    val skew = Harness.measureRoutes(spark, "T", "L2", q, cat, Optimizer.pushProjections,
+      SkewOps.skewJoin(), suffix = "_skew", unshred = false)
+    assert(skew.map(_.strategy) == Seq("Standard_skew", "Shred_skew") && skew.forall(_.ok), skew)
+    assert(spark.sparkContext.getPersistentRDDs.size == persisted)
+  }
+
+  test("exhibit ids are unique, and an unknown id fails listing the valid ones") {
+    val ids = Exhibits.all.map(_.id)
+    assert(ids.distinct == ids)
+    val e = intercept[IllegalArgumentException](Exhibits("T7"))
+    assert(e.getMessage.contains(ids.mkString(", ")), e.getMessage)
   }
 }

@@ -1,10 +1,11 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.{SparkSpec, TestUtil}
 import repro.core.NRC._
 import repro.core.LocalEval._
+import repro.core.exec.Routes
 
-class LocalEvalSpec extends AnyFunSuite {
+class LocalEvalSpec extends SparkSpec {
 
   private val liT = TupleTpe("oid" -> IntTpe, "pid" -> IntTpe, "qty" -> RealTpe)
   private val li  = InputBag("Li", BagTpe(liT))
@@ -42,6 +43,25 @@ class LocalEvalSpec extends AnyFunSuite {
     assert(eval(Or(t, f), env) == true)
     assert(eval(Not(f), env) == true)
     assert(eval(ScalarIf(t, Const(1, IntTpe), Const(2, IntTpe)), env) == 1)
+    // A comparison with NULL is unknown (NULL); `if` reads unknown as false.
+    val u = Cmp("==", Const(null, IntTpe), Const(1, IntTpe))
+    assert(eval(u, env) == null && eval(Not(u), env) == null)
+    assert(eval(And(u, f), env) == false && eval(And(u, t), env) == null)
+    assert(eval(Or(u, t), env) == true && eval(Or(u, f), env) == null)
+    assert(eval(ScalarIf(Not(u), Const(1, IntTpe), Const(2, IntTpe)), env) == 2)
+  }
+
+  test("a negated comparison with a NULL operand drops the row, as the standard route does") {
+    import spark.implicits._
+    val xT = TupleTpe("a" -> IntTpe)
+    val xv = VarDef("x", xT)
+    val q = ForUnion(xv, InputBag("X", BagTpe(xT)),
+      IfThenBag(Not(Cmp("==", Proj(VarRef(xv), "a"), Const(1L, IntTpe))),
+        Sng(Tup("a" -> Proj(VarRef(xv), "a")))))
+    val cat = Map("X" -> Seq(Some(1L), None, Some(2L)).toDF("a"))
+    val local = TestUtil.localEval(q, TestUtil.toLocal(cat))
+    assert(local == Seq(Map("a" -> 2L)))
+    TestUtil.assertBagEq(Routes.standard(q, cat), local)
   }
 
   test("for-union maps and unions") {

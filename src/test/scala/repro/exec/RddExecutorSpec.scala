@@ -3,7 +3,7 @@ package repro.exec
 import repro.{SparkSpec, TestData, TestUtil}
 import repro.core.LocalEval
 import repro.core.exec.{RddExecutor, SparkExecutor}
-import repro.core.plan.Unnester
+import repro.core.plan.{ColRef, Join, Plan, Project, Source, Unnester}
 import repro.data.NestedTpch
 import repro.queries.TpchQueries
 
@@ -19,8 +19,10 @@ class RddExecutorSpec extends SparkSpec {
     cat.map { case (n, df) => n -> RddExecutor.fromDataFrame(df) }
 
   private def compare(q: repro.core.NRC.Expr,
-                      cat: Map[String, org.apache.spark.sql.DataFrame]): Unit = {
-    val plan = Unnester.compile(q)
+                      cat: Map[String, org.apache.spark.sql.DataFrame]): Unit =
+    comparePlan(Unnester.compile(q), cat)
+
+  private def comparePlan(plan: Plan, cat: Map[String, org.apache.spark.sql.DataFrame]): Unit = {
     val df   = new SparkExecutor(cat).execute(plan)
     val rdd  = new RddExecutor(rddCatalog(cat)).execute(plan)
     val got  = LocalEval.canon(RddExecutor.toLocal(rdd))
@@ -50,5 +52,15 @@ class RddExecutorSpec extends SparkSpec {
 
   test("RDD executor matches DataFrame executor on nested-to-flat level 0") {
     compare(TpchQueries.nestedToFlat(0, wide = false), catalog)
+  }
+
+  for (leftOuter <- Seq(false, true)) {
+    test(s"RDD executor joins no NULL key with a NULL key (${if (leftOuter) "left-outer" else "inner"})") {
+      import spark.implicits._
+      val cat = Map("A" -> Seq(Some(1L), None).toDF("a"),
+        "B" -> Seq((Some(1L), "one"), (None, "null")).toDF("b", "v"))
+      comparePlan(Project(Join(Source("A"), Source("B"), Seq("a"), Seq("b"), leftOuter),
+        Seq("a" -> ColRef("a"), "b" -> ColRef("b"), "v" -> ColRef("v"))), cat)
+    }
   }
 }

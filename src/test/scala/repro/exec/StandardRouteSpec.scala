@@ -1,8 +1,10 @@
 package repro.exec
 
 import repro.{Oracle, SparkSpec, TestData, TestUtil}
-import repro.core.plan.Unnester
-import repro.core.exec.SparkExecutor
+import repro.core._
+import repro.core.NRC._
+import repro.core.plan.{Optimizer, Unnester}
+import repro.core.exec.{RddExecutor, SparkExecutor}
 import repro.data.NestedTpch
 import repro.queries.TpchQueries
 
@@ -136,5 +138,37 @@ class StandardRouteSpec extends SparkSpec {
         |GROUP BY r.r_name""".stripMargin,
       "region" -> t.region, "nation" -> t.nation, "customer" -> t.customer,
       "orders" -> t.orders, "lineitem" -> t.lineitem, "part" -> t.part)
+  }
+
+  // ------------------------------------------------ groupBy and ⊎ at the root
+
+  private val l = VarDef("l", NestedTpch.lineitemTpe)
+  private val o = VarDef("o", NestedTpch.ordersTpe(wide = false))
+  private val lineitem = InputBag("Lineitem", BagTpe(NestedTpch.lineitemTpe))
+  private def li(a: String): Expr = Proj(VarRef(l), a)
+  private def liTup(attrs: String*): Expr = Sng(Tup(attrs.map(a => a -> li(a)): _*))
+
+  private val groupAndUnion: Seq[(String, Expr)] = Seq(
+    "root groupBy" ->
+      GroupByE(ForUnion(l, lineitem, liTup("l_orderkey", "l_partkey", "l_quantity")),
+        Seq("l_orderkey"), "parts"),
+    "groupBy nested under Orders" ->
+      ForUnion(o, InputBag("Orders", BagTpe(NestedTpch.ordersTpe(wide = false))),
+        Sng(Tup("o_orderdate" -> Proj(VarRef(o), "o_orderdate"),
+          "byPart" -> GroupByE(ForUnion(l, lineitem,
+            IfThenBag(Cmp("==", li("l_orderkey"), Proj(VarRef(o), "o_orderkey")),
+              liTup("l_partkey", "l_quantity"))), Seq("l_partkey"), "qs")))),
+    "root ⊎ over Lineitem" ->
+      BagUnion(ForUnion(l, lineitem, IfThenBag(Cmp(">", li("l_quantity"), Const(3.0, RealTpe)),
+        liTup("l_orderkey", "l_partkey", "l_quantity"))), lineitem))
+
+  for ((name, q) <- groupAndUnion; level <- 0 to 2) {
+    test(s"$name at optimizer level $level matches LocalEval on both executors") {
+      val plan = Optimizer.level(level)(Unnester.compile(q))
+      val exp = TestUtil.localEval(q, local)
+      TestUtil.assertBagEq(new SparkExecutor(catalog).execute(plan), exp, name)
+      val rdd = new RddExecutor(catalog.map { case (n, df) => n -> RddExecutor.fromDataFrame(df) })
+      assert(LocalEval.canon(RddExecutor.toLocal(rdd.execute(plan))) == LocalEval.canon(exp), name)
+    }
   }
 }
