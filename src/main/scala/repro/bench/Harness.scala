@@ -6,6 +6,7 @@ import scala.concurrent.duration._
 import scala.concurrent.ExecutionContext.Implicits.global
 import scala.util.{Failure, Success, Try}
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.storage.StorageLevel
 import repro.core.NRC.Expr
 import repro.core.exec.{Routes, SparkExecutor}
 import repro.core.plan.{Optimizer, Plan}
@@ -70,8 +71,11 @@ object Harness {
 
   /** The route sequence of every §6 exhibit: Standard, then Shred with every
     * dictionary materialized, then (if `unshred`) Unshred of Shred's output.
-    * Strategy names end in `suffix`. Shred's outputs are released before
-    * this returns, also those of a run that failed part-way.
+    * Strategy names end in `suffix`. The Shred outputs this call cached are
+    * released before it returns, also those of a run that failed part-way.
+    * An output whose plan was cached already (T4's top bag passes its
+    * shredded input through) shares that cache entry and is not released:
+    * `unpersist` would evict the input too.
     */
   def measureRoutes(spark: SparkSession, table: String, config: String, q: Expr,
                     cat: Map[String, DataFrame],
@@ -86,7 +90,12 @@ object Harness {
     var shredCat = cat
     val shred = measure(spark, table, config, "Shred" + suffix) {
       shredCat = Routes.run(sq.program, cat, optimize, joinImpl,
-        (_, df) => { val m = materialize(df); dicts += m; m })
+        (_, df) => {
+          val cached = df.storageLevel != StorageLevel.NONE
+          val m = materialize(df)
+          if (!cached) dicts += m
+          m
+        })
     }
     val unsh = if (unshred) Seq(measure(spark, table, config, "Unshred" + suffix) {
       force(Unshredder.unshred("OUT", sq.outTpe, shredCat))

@@ -12,6 +12,20 @@ import repro.core.RealTpe
   *    rewritten to pre-aggregate the left side grouped by its join keys and
   *    retained grouping attributes — the partial-sums-before-the-Part-join
   *    rewrite of Example 2 — applied recursively down join chains.
+  *    Bottom-up label chains: before pushing, the Γ⁺'s inner-join chain is
+  *    rotated, `(a ⋈ b) ⋈ c` → `a ⋈ (b ⋈ c)`, wherever both joins are
+  *    inner and the upper join's left keys are non-empty and all columns
+  *    of `b`. Inner equi-joins are associative, so the rows do not change.
+  *    The rotated chain is kept where the Γ⁺'s grouping columns all come
+  *    from `a` and a partial sum can be pushed into it: what is
+  *    pre-aggregated on the right is then keyed by the join keys alone. In
+  *    a shredded nested-to-flat chain the Part join so sits in the lowest
+  *    dictionary and only per-label sums cross each label join (§4). Every
+  *    other plan keeps its join order. There is no cost model: a rotation
+  *    whose pre-aggregate also groups by a right-side column can grow the
+  *    joins below the Γ⁺ (the bio pipeline's `SampleNetwork__D_nodes`,
+  *    rotated, shuffled 8 % more), and one without a Γ⁺ above it can give
+  *    up the selectivity of the upper-left input.
   *  - **Join→nest partitioning reuse** (the cogroup of §3.3): a Γ⊎/Γ⁺
   *    that sits on a join through Projects and Selects only, and whose key
   *    holds the unique ID an `addIndex` gave the join's left side, also
@@ -113,11 +127,20 @@ object Optimizer {
     def fresh(): String = { ctr += 1; s"__pa_$ctr" }
     def push(p: Plan): Plan = p match {
       case ns @ NestSum(child, group, Seq((out, v))) =>
-        val (base, mapping) = resolveThroughProjects(child)
+        val (chain, mapping) = resolveThroughProjects(child)
+        val groupInner = group.map(g => mapping.getOrElse(g, ColRef(g)))
+        val vInner     = substVal(v, mapping)
+        // Bottom-up label chains: the rotated chain (see `rotate`) where the
+        // grouping stays in its left input and a partial sum pushes into it.
+        val base = rotate(chain) match {
+          case j @ Join(l, r, _, _, _)
+              if groupInner.forall(_.cols.subsetOf(colsOf(l))) &&
+                (vInner.cols.nonEmpty && vInner.cols.subsetOf(colsOf(r)) ||
+                  factor(vInner, colsOf(l), colsOf(r)).nonEmpty) => j
+          case _ => chain
+        }
         base match {
           case Join(l, r, lk, rk, joinOuter) =>
-            val groupInner = group.map(g => mapping.getOrElse(g, ColRef(g)))
-            val vInner     = substVal(v, mapping)
             if (!groupInner.forall(_.isInstanceOf[ColRef]))
               return mapChildrenPlan(ns, push)
             val gInner = groupInner.map { case ColRef(n) => n; case _ => sys.error("unreachable") }
@@ -150,6 +173,16 @@ object Optimizer {
       case other => mapChildrenPlan(other, push)
     }
     push(p)
+  }
+
+  /** `(a ⋈ b) ⋈ c` → `a ⋈ (b ⋈ c)` for inner joins whose upper keys are
+    * non-empty and all b's: inner equi-joins are associative.
+    */
+  private def rotate(p: Plan): Plan = p match {
+    case Join(Join(a, b, lk1, rk1, false), c, lk2, rk2, false)
+        if lk2.nonEmpty && lk2.toSet.subsetOf(colsOf(b)) =>
+      rotate(Join(a, rotate(Join(b, c, lk2, rk2, false)), lk1, rk1, false))
+    case other => other
   }
 
   // ------------------------------------------- join→nest partitioning reuse

@@ -8,6 +8,7 @@ import org.scalatest.Assertions._
 import repro.bench.{Meter, SparkWork}
 import repro.core.{LocalEval, SparkValues}
 import repro.core.NRC.Expr
+import repro.core.plan.{Plan, Source}
 
 /** Shared assertions for comparing Spark results against the LocalEval
   * reference interpreter, order-insensitively and recursively on nested bags,
@@ -40,6 +41,12 @@ object TestUtil {
   def sparkWork[A](spark: SparkSession)(block: => A): (A, SparkWork) = {
     val (sc, tag) = (spark.sparkContext, s"testutil-${UUID.randomUUID()}")
     Meter.bill(spark, tag) { sc.addJobTag(tag); try block finally sc.removeJobTag(tag) }
+  }
+
+  /** The names of the `Source`s below `p`. */
+  def inputs(p: Plan): Set[String] = p match {
+    case Source(n) => Set(n)
+    case _         => p.children.flatMap(inputs).toSet
   }
 
   /** Runs `df` and counts the shuffle exchanges of its final adaptive plan. */

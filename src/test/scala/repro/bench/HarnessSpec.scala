@@ -76,6 +76,22 @@ class HarnessSpec extends SparkSpec {
     assert(spark.sparkContext.getPersistentRDDs.size == persisted)
   }
 
+  test("measureRoutes keeps a cached input whose plan a Shred output shares") {
+    // T4's top bag passes COP2n__F through, so OUT__F shares its cache entry.
+    val t = TestData.tables(spark)
+    val nested = Harness.materialize(NestedTpch.nestedInput(t, 2, wide = false))
+    val shredded = NestedTpch.shreddedInput(t, 2, wide = false)
+      .map { case (k, v) => k -> Harness.materialize(v) }
+    val cat = NestedTpch.catalog(t) + (NestedTpch.inputName(2, wide = false) -> nested) ++ shredded
+    try {
+      val rows = Harness.measureRoutes(spark, "T", "L2", TpchQueries.nestedToNested(2, wide = false),
+        cat, unshred = false)
+      assert(rows.forall(_.ok), rows)
+      val evicted = shredded.collect { case (k, v) if !v.storageLevel.useMemory => k }
+      assert(evicted.isEmpty, s"evicted inputs: $evicted")
+    } finally (shredded.values.toSeq :+ nested).foreach(_.unpersist())
+  }
+
   test("exhibit ids are unique, and an unknown id fails listing the valid ones") {
     val ids = Exhibits.all.map(_.id)
     assert(ids.distinct == ids)

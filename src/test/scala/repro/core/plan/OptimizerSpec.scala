@@ -2,7 +2,9 @@ package repro.core.plan
 
 import java.sql.Date
 import repro.{SparkSpec, TestData, TestUtil}
-import repro.core.exec.SparkExecutor
+import repro.core.{BagTpe, IntTpe, LocalEval, RealTpe, StringTpe, TupleTpe}
+import repro.core.NRC._
+import repro.core.exec.{RddExecutor, SparkExecutor}
 import repro.data.NestedTpch
 import repro.queries.TpchQueries
 
@@ -132,5 +134,101 @@ class OptimizerSpec extends SparkSpec {
     def exchanges(optimize: Plan => Plan) =
       TestUtil.shuffleExchanges(new SparkExecutor(catalog).execute(optimize(plan)))
     assert(exchanges(Optimizer.full) == exchanges(Optimizer.pushProjections) - 1)
+  }
+
+  // ------------------------------------------------ bottom-up label chains
+
+  /** The inputs below each join of `p`: the join order, whatever else moved. */
+  private def joinedInputs(p: Plan): Set[Set[String]] =
+    (p match { case j: Join => Set(TestUtil.inputs(j)); case _ => Set.empty[Set[String]] }) ++
+      p.children.flatMap(joinedInputs)
+
+  private def input(name: String, cols: String*): Plan =
+    Project(Source(name), cols.map(c => c -> (ColRef(c): ValExpr)))
+
+  /** `(A ⋈[a_k = b_k] B) ⋈[upper] C`, projected. */
+  private def chain(upperLeft: Seq[String], upperRight: Seq[String],
+                    lowerOuter: Boolean = false, upperOuter: Boolean = false): Plan =
+    Project(Join(
+      Join(input("A", "a_g", "a_k", "a_x"), input("B", "b_k", "b_j"), Seq("a_k"), Seq("b_k"), lowerOuter),
+      input("C", "c_j", "c_v"), upperLeft, upperRight, upperOuter),
+      Seq("a_g", "a_x", "c_j", "c_v").map(c => c -> (ColRef(c): ValExpr)))
+
+  private def summed(p: Plan, group: String = "a_g", sum: ValExpr = ColRef("c_v")): Plan =
+    NestSum(p, Seq(group), Seq("s" -> sum))
+
+  private val rotated = Set("B", "C")
+  private val kept    = Set("A", "B")
+
+  for ((what, sum) <- Seq("in the lower join's right side" -> ColRef("c_v"),
+                          "factored across the rotated join" -> ArithV("*", ColRef("a_x"), ColRef("c_v"))))
+    test(s"under a Γ⁺ with its sum $what, an inner join on the lower join's right columns joins that side first") {
+      assert(joinedInputs(Optimizer.full(summed(chain(Seq("b_j"), Seq("c_j")), sum = sum))).contains(rotated))
+    }
+
+  for ((what, plan) <- Seq(
+    "the upper keys come from the lower join's left side" -> summed(chain(Seq("a_x"), Seq("c_j"))),
+    "the upper keys come from both sides of the lower join" ->
+      summed(chain(Seq("a_x", "b_j"), Seq("c_j", "c_v"))),
+    "the lower join is left-outer" -> summed(chain(Seq("b_j"), Seq("c_j"), lowerOuter = true)),
+    "the lower join is left-outer and the sum factors across it" ->
+      summed(chain(Seq("b_j"), Seq("c_j"), lowerOuter = true), sum = ArithV("*", ColRef("a_x"), ColRef("c_v"))),
+    "the upper join is left-outer" -> summed(chain(Seq("b_j"), Seq("c_j"), upperOuter = true)),
+    "the upper join has no keys" -> summed(chain(Nil, Nil)),
+    "no Γ⁺ sits above the chain" -> chain(Seq("b_j"), Seq("c_j")),
+    "no partial sum pushes into the rotated chain" ->
+      summed(chain(Seq("b_j"), Seq("c_j")), sum = ArithV("+", ColRef("a_x"), ColRef("c_v"))),
+    "the Γ⁺ groups by a column of the lower join's right side" ->
+      summed(chain(Seq("b_j"), Seq("c_j")), group = "c_j")))
+    test(s"the join order is kept when $what") {
+      val joined = joinedInputs(Optimizer.full(plan))
+      assert(joined.contains(kept) && !joined.contains(rotated), joined)
+    }
+
+  /** `for a in A, b in B, c in C, d in D if a.k = b.k ∧ b.j = c.j ∧ c.m = d.m
+    * sumBy_g (b.v * d.w)`: every join key has duplicates and NULLs on both
+    * sides.
+    */
+  private lazy val chainCatalog = {
+    import spark.implicits._
+    Map(
+      "A" -> Seq[(String, Option[Long])](("x", Some(1L)), ("y", Some(1L)), ("z", None), ("w", Some(2L)),
+        ("x", Some(2L))).toDF("g", "k"),
+      "B" -> Seq[(Option[Long], Option[Long], Double)]((Some(1L), Some(10L), 1.0), (Some(1L), Some(10L), 2.0),
+        (None, Some(10L), 4.0), (Some(2L), None, 8.0), (Some(1L), Some(20L), 16.0), (Some(2L), Some(20L), 32.0))
+        .toDF("k", "j", "v"),
+      "C" -> Seq[(Option[Long], Option[Long])]((Some(10L), Some(100L)), (Some(10L), Some(100L)),
+        (None, Some(100L)), (Some(20L), None), (Some(20L), Some(200L))).toDF("j", "m"),
+      "D" -> Seq[(Option[Long], Double)]((Some(100L), 1.0), (Some(100L), 10.0), (None, 100.0),
+        (Some(200L), 1000.0)).toDF("m", "w"))
+  }
+
+  private lazy val chainQuery: Expr = {
+    val tpes = Map(
+      "A" -> TupleTpe("g" -> StringTpe, "k" -> IntTpe), "B" -> TupleTpe("k" -> IntTpe, "j" -> IntTpe, "v" -> RealTpe),
+      "C" -> TupleTpe("j" -> IntTpe, "m" -> IntTpe), "D" -> TupleTpe("m" -> IntTpe, "w" -> RealTpe))
+    val v = tpes.map { case (n, t) => n -> VarDef(n.toLowerCase, t) }
+    def field(n: String, f: String): Expr = Proj(VarRef(v(n)), f)
+    // for x in <name> if parent.key == x.key then body
+    def gen(name: String, parent: String, key: String, body: Expr): Expr =
+      ForUnion(v(name), InputBag(name, BagTpe(tpes(name))),
+        IfThenBag(Cmp("==", field(parent, key), field(name, key)), body))
+    val row = Sng(Tup("g" -> field("A", "g"), "s" -> Arith("*", field("B", "v"), field("D", "w"))))
+    SumByE(ForUnion(v("A"), InputBag("A", BagTpe(tpes("A"))),
+      gen("B", "A", "k", gen("C", "B", "j", gen("D", "C", "m", row)))), Seq("g"), Seq("s"))
+  }
+
+  test("a three-join chain with duplicate and NULL keys matches LocalEval at every level on both executors") {
+    val plan = Unnester.compile(chainQuery)
+    assert(joinedInputs(Optimizer.full(plan)).contains(Set("B", "C", "D")), Optimizer.full(plan).pretty())
+    val expected = TestUtil.localEval(chainQuery, TestUtil.toLocal(chainCatalog))
+    assert(expected.nonEmpty)
+    val rddCat = chainCatalog.map { case (n, df) => n -> RddExecutor.fromDataFrame(df) }
+    for (lvl <- 0 to 2) {
+      val opt = Optimizer.level(lvl)(plan)
+      TestUtil.assertBagEq(new SparkExecutor(chainCatalog).execute(opt), expected, s"Spark, level $lvl")
+      val rdd = LocalEval.canon(RddExecutor.toLocal(new RddExecutor(rddCat).execute(opt)))
+      assert(rdd == LocalEval.canon(expected), s"RDD, level $lvl")
+    }
   }
 }

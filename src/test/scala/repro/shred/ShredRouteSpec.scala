@@ -3,7 +3,7 @@ package repro.shred
 import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestData, TestUtil}
 import repro.core.SparkValues
-import repro.core.plan.{Optimizer, Unnester}
+import repro.core.plan.{Join, NestSum, Optimizer, Plan, Project, Unnester}
 import repro.core.exec.{Routes, SparkExecutor}
 import repro.data.NestedTpch
 import repro.queries.TpchQueries
@@ -74,8 +74,45 @@ class ShredRouteSpec extends SparkSpec {
       val nested = NestedTpch.nestedInput(t, level, wide)
       val shredded = NestedTpch.shreddedInput(t, level, wide)
       val sq = Shredder.shred("OUT", q)
-      val out = shredRoute(sq, catalog ++ shredded)(sq.topAssignment.name)
-      TestUtil.assertBagEq(out, standard(q, catalog + (name -> nested)))
+      val expected = SparkValues.toBag(standard(q, catalog + (name -> nested)))
+      for (lvl <- 0 to 2) {
+        val out = Routes.run(sq.program, catalog ++ shredded, Optimizer.level(lvl))(sq.topAssignment.name)
+        TestUtil.assertBagEq(out, expected, s"$tag, optimizer level $lvl")
+      }
+    }
+  }
+
+  private def joins(p: Plan): Seq[Join] =
+    (p match { case j: Join => Seq(j); case _ => Nil }) ++ p.children.flatMap(joins)
+
+  test("nested-to-flat under full: Part joins the lowest dictionary, and every label join reads a Γ⁺ per label") {
+    def belowProjects(p: Plan): Plan = p match {
+      case Project(c, _) => belowProjects(c)
+      case other         => other
+    }
+    for (level <- 1 to 4; wide <- Seq(false, true)) {
+      val tag = s"level $level ${if (wide) "wide" else "narrow"}"
+      val sq = Shredder.shred("OUT", TpchQueries.nestedToFlat(level, wide))
+      val plan = Optimizer.full(Unnester.compile(sq.topAssignment.expr))
+      val (labelJoins, partJoins) = joins(plan).partition(_.rightKeys.forall(_.endsWith("__label")))
+      assert(labelJoins.size == level && partJoins.size == 1, s"$tag\n${plan.pretty()}")
+      labelJoins.foreach { j =>
+        assert(TestUtil.inputs(j.right).contains("Part"), s"$tag: Part joins above ${j.rightKeys}\n${plan.pretty()}")
+        belowProjects(j.right) match {
+          case NestSum(_, g, _) => assert(g == j.rightKeys, s"$tag: Γ⁺ keyed by $g under ${j.rightKeys}")
+          case other => fail(s"$tag: label join on ${j.rightKeys} reads ${other.pretty()}")
+        }
+      }
+    }
+  }
+
+  test("nested-to-nested under full: Part joins only the lowest dictionary") {
+    for (level <- 1 to 4; wide <- Seq(false, true)) {
+      val sq = Shredder.shred("OUT", TpchQueries.nestedToNested(level, wide))
+      val withPart = sq.assignments.filter(a =>
+        joins(Optimizer.full(Unnester.compile(a.expr))).exists(j => TestUtil.inputs(j.right).contains("Part")))
+      assert(withPart.map(_.name) == Seq(sq.assignments.last.name),
+        s"level $level ${if (wide) "wide" else "narrow"}: ${sq.assignments.map(_.name)}")
     }
   }
 
