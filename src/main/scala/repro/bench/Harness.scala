@@ -26,7 +26,7 @@ object Harness {
                           millis: Long, shuffleMB: Double, ok: Boolean, note: String = "") {
     def row: String = {
       val t = if (ok) f"${millis / 1000.0}%8.2f" else "    FAIL"
-      f"| $config%-28s | $strategy%-14s | $t | ${shuffleMB}%10.1f | $note"
+      f"| $config%-28s | $strategy%-14s | $t | ${shuffleMB}%10.3f | $note"
     }
   }
 
@@ -35,10 +35,11 @@ object Harness {
   /** Time `action` (which must force its own computation); capture shuffle.
     * The action's jobs carry this call's job tag, billed by `Meter`: the tag
     * is set on the thread that runs the action, so a pooled thread never
-    * carries an earlier call's tag, and a timeout cancels exactly its jobs.
+    * carries an earlier call's tag, and a timeout (`timeout` seconds)
+    * cancels exactly its jobs.
     */
-  def measure(spark: SparkSession, table: String, config: String, strategy: String)
-             (action: => Unit): Result = {
+  def measure(spark: SparkSession, table: String, config: String, strategy: String,
+              timeout: Int = timeoutSeconds)(action: => Unit): Result = {
     val sc = spark.sparkContext
     val tag = s"$table/$config/$strategy"
     val ((outcome, ms), work) = Meter.bill(spark, tag) {
@@ -48,7 +49,7 @@ object Harness {
         sc.addJobTag(tag)
         try action finally sc.removeJobTag(tag)
       }
-      val outcome = Try(Await.result(fut, timeoutSeconds.seconds))
+      val outcome = Try(Await.result(fut, timeout.seconds))
       val ms = (System.nanoTime() - t0) / 1000000
       // Timed out: cancel this call's jobs until the run ends. A job the
       // action starts after one cancellation is cancelled on the next pass.
@@ -62,7 +63,7 @@ object Harness {
     outcome match {
       case Success(_) => Result(table, config, strategy, ms, mb, ok = true)
       case Failure(_: TimeoutException) =>
-        Result(table, config, strategy, ms, mb, ok = false, note = s"timeout ${timeoutSeconds}s")
+        Result(table, config, strategy, ms, mb, ok = false, note = s"timeout ${timeout}s")
       case Failure(e) =>
         Result(table, config, strategy, ms, mb, ok = false,
           note = e.getClass.getSimpleName + ": " + Option(e.getMessage).getOrElse("").take(80))

@@ -12,12 +12,24 @@ import repro.core.RealTpe
   *    rewritten to pre-aggregate the left side grouped by its join keys and
   *    retained grouping attributes — the partial-sums-before-the-Part-join
   *    rewrite of Example 2 — applied recursively down join chains.
+  *    A left pre-aggregate is made only where it pays without statistics:
+  *    it is keyed by the join's left keys alone, or the left side holds a
+  *    join the partial sum pushes further into. A leaf pre-aggregate keyed
+  *    by more than the join keys (`Γ⁺[label, partkey]` under T3's and T4's
+  *    Part join) is shuffled by its own key and then again by the join key;
+  *    on TPC-H its groups are nearly single rows, so it would shuffle them
+  *    twice and save nothing. Such a Γ⁺ stays above the join, and the leaf
+  *    rows are shuffled once. The guard loses where that leaf's
+  *    groups average more than about two rows: the pre-aggregate would then
+  *    have saved shuffle. A pre-aggregate over a join is kept, because it
+  *    carries the sum below that join too (C3's consequences dictionary).
   *    Bottom-up label chains: before pushing, the Γ⁺'s inner-join chain is
   *    rotated, `(a ⋈ b) ⋈ c` → `a ⋈ (b ⋈ c)`, wherever both joins are
   *    inner and the upper join's left keys are non-empty and all columns
   *    of `b`. Inner equi-joins are associative, so the rows do not change.
   *    The rotated chain is kept where the Γ⁺'s grouping columns all come
-  *    from `a` and a partial sum can be pushed into it: what is
+  *    from `a` and a partial sum can be pushed into it (under the guard
+  *    above, so no rotation is kept for a push that is then refused): what is
   *    pre-aggregated on the right is then keyed by the join keys alone. In
   *    a shredded nested-to-flat chain the Part join so sits in the lowest
   *    dictionary and only per-label sums cross each label join (§4). Every
@@ -133,10 +145,11 @@ object Optimizer {
         // Bottom-up label chains: the rotated chain (see `rotate`) where the
         // grouping stays in its left input and a partial sum pushes into it.
         val base = rotate(chain) match {
-          case j @ Join(l, r, _, _, _)
+          case j @ Join(l, r, lk, _, _)
               if groupInner.forall(_.cols.subsetOf(colsOf(l))) &&
                 (vInner.cols.nonEmpty && vInner.cols.subsetOf(colsOf(r)) ||
-                  factor(vInner, colsOf(l), colsOf(r)).nonEmpty) => j
+                  factor(vInner, colsOf(l), colsOf(r)).nonEmpty &&
+                    preAggregates(l, groupInner.flatMap(_.cols), lk)) => j
           case _ => chain
         }
         base match {
@@ -158,7 +171,7 @@ object Optimizer {
               val rAgg   = push(NestSum(r, rGroup, Seq(tmp -> vInner)))
               restore(NestSum(Join(l, rAgg, lk, rk, joinOuter), gInner, Seq(out -> ColRef(tmp))))
             } else factor(vInner, lc, rc) match {
-              case Some((lExpr, rExpr)) =>
+              case Some((lExpr, rExpr)) if preAggregates(l, gInner, lk) =>
                 val lGroup = (gInner.filter(lc) ++ lk).distinct
                 val tmp    = fresh()
                 // Pre-aggregate the left side, then recurse: the partial sum
@@ -166,7 +179,7 @@ object Optimizer {
                 val lAgg = push(NestSum(l, lGroup, Seq(tmp -> lExpr)))
                 restore(NestSum(Join(lAgg, r, lk, rk, joinOuter), gInner,
                   Seq(out -> ArithV("*", ColRef(tmp), rExpr))))
-              case None => mapChildrenPlan(ns, push)
+              case _ => mapChildrenPlan(ns, push)
             }
           case _ => mapChildrenPlan(ns, push)
         }
@@ -174,6 +187,15 @@ object Optimizer {
     }
     push(p)
   }
+
+  /** Whether the left pre-aggregate of a Γ⁺ grouped by `group` pays: it is
+    * keyed by the join's left keys `lk` alone, so it shuffles as the join
+    * does, or `l` holds a join the partial sum can push further into.
+    */
+  private def preAggregates(l: Plan, group: Seq[String], lk: Seq[String]): Boolean =
+    group.filter(colsOf(l)).forall(lk.contains) || hasJoin(l)
+
+  private def hasJoin(p: Plan): Boolean = p.isInstanceOf[Join] || p.children.exists(hasJoin)
 
   /** `(a ⋈ b) ⋈ c` → `a ⋈ (b ⋈ c)` for inner joins whose upper keys are
     * non-empty and all b's: inner equi-joins are associative.

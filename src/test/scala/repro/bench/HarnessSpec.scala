@@ -2,6 +2,7 @@ package repro.bench
 
 import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import scala.jdk.CollectionConverters._
+import org.apache.spark.JobExecutionStatus
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{SparkSpec, TestData}
 import repro.core.plan.Optimizer
@@ -62,6 +63,36 @@ class HarnessSpec extends SparkSpec {
     other.join()
     assert(r.ok, r)
     assert(r.shuffleMB == 0, r)
+  }
+
+  test("a run that times out is cancelled, and the next run is billed as if it ran alone") {
+    val sc = spark.sparkContext
+    // Meter.bill on the run's own tag counts the jobs the run billed.
+    def small(strategy: String) = Meter.bill(spark, s"T/small/$strategy") {
+      Harness.measure(spark, "T", "small", strategy) {
+        Harness.force(spark.range(0, 1000, 1, 4).selectExpr("id % 10 AS k").groupBy("k").count())
+      }
+    }
+    val (alone, aloneWork) = small("alone")
+    // Its tasks sleep 60 s: measure returns sooner only if it cancelled them.
+    val t0 = System.nanoTime()
+    val slow = Harness.measure(spark, "T", "slow", "S", timeout = 1) {
+      sc.parallelize(1 to 4, 4).map { i => Thread.sleep(60000); i }.count()
+    }
+    val elapsedS = (System.nanoTime() - t0) / 1e9
+    assert(!slow.ok && slow.note == "timeout 1s" && elapsedS < 30, (slow, elapsedS))
+    val tracker = sc.statusTracker
+    assert(tracker.getJobIdsForTag("T/slow/S").nonEmpty)
+    def running = tracker.getJobIdsForTag("T/slow/S")
+      .filter(id => tracker.getJobInfo(id).exists(_.status == JobExecutionStatus.RUNNING))
+    // The status store hears of the cancellation on its own listener queue.
+    val deadline = System.nanoTime() + 10L * 1000 * 1000 * 1000
+    while (running.nonEmpty && System.nanoTime() < deadline) Thread.sleep(50)
+    assert(running.isEmpty, s"jobs still running: ${running.toSeq}")
+    val (next, nextWork) = small("next")
+    assert(alone.ok && next.ok, (alone, next))
+    assert(aloneWork.jobs > 0 && aloneWork.shuffleWriteBytes > 0, aloneWork)
+    assert(nextWork == aloneWork && next.shuffleMB == alone.shuffleMB, (aloneWork, nextWork))
   }
 
   test("measureRoutes measures Standard, Shred and Unshred, and releases Shred's outputs") {

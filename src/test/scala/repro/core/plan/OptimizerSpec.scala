@@ -1,12 +1,14 @@
 package repro.core.plan
 
 import java.sql.Date
+import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestData, TestUtil}
 import repro.core.{BagTpe, IntTpe, LocalEval, RealTpe, StringTpe, TupleTpe}
 import repro.core.NRC._
 import repro.core.exec.{RddExecutor, SparkExecutor}
 import repro.data.NestedTpch
-import repro.queries.TpchQueries
+import repro.queries.{BioQueries, TpchQueries}
+import repro.shred.Shredder
 
 /** Optimizer correctness: every optimization level produces the same result,
   * and the rewrites change plan shape as intended (E.4 setup).
@@ -31,22 +33,59 @@ class OptimizerSpec extends SparkSpec {
   private def countNestSum(p: Plan): Int =
     (p match { case _: NestSum => 1; case _ => 0 }) + p.children.map(countNestSum).sum
 
-  private def hasSumBelowJoin(p: Plan): Boolean = p match {
-    case Join(l, r, _, _, _) => countNestSum(l) + countNestSum(r) > 0 ||
-      hasSumBelowJoin(l) || hasSumBelowJoin(r)
-    case _ => p.children.exists(hasSumBelowJoin)
+  /** The Γ⁺s that sit below a join of `p`, each with whether a join lies below it. */
+  private def sumsBelowJoins(p: Plan): Seq[(NestSum, Boolean)] = p match {
+    case Join(l, r, _, _, _) =>
+      def sums(q: Plan): Seq[(NestSum, Boolean)] =
+        (q match { case n: NestSum => Seq(n -> hasJoin(n.child)); case _ => Nil }) ++ q.children.flatMap(sums)
+      sums(l) ++ sums(r)
+    case _ => p.children.flatMap(sumsBelowJoins)
+  }
+
+  private def hasJoin(p: Plan): Boolean = p.isInstanceOf[Join] || p.children.exists(hasJoin)
+
+  /** Each Γ⁺ below a join of `full(p)`: its grouping, and whether a join lies below it. */
+  private def pushed(p: Plan): Seq[(Seq[String], Boolean)] =
+    sumsBelowJoins(Optimizer.full(p)).map { case (n, j) => (n.groupCols, j) }
+
+  /** `q` at every optimizer level equals LocalEval on both executors. */
+  private def assertLevelsMatchLocalEval(q: Expr, cat: Map[String, DataFrame]): Unit = {
+    val plan = Unnester.compile(q)
+    val expected = TestUtil.localEval(q, TestUtil.toLocal(cat))
+    assert(expected.nonEmpty)
+    val rddCat = cat.map { case (n, df) => n -> RddExecutor.fromDataFrame(df) }
+    for (lvl <- 0 to 2) {
+      val opt = Optimizer.level(lvl)(plan)
+      TestUtil.assertBagEq(new SparkExecutor(cat).execute(opt), expected, s"Spark, level $lvl")
+      val rdd = LocalEval.canon(RddExecutor.toLocal(new RddExecutor(rddCat).execute(opt)))
+      assert(rdd == LocalEval.canon(expected), s"RDD, level $lvl")
+    }
+  }
+
+  /** `for x in <name> if <parent>.<key> == x.<key> then body` over inputs typed by `tpes`. */
+  private final class Gens(tpes: Map[String, TupleTpe]) {
+    private val v = tpes.map { case (n, t) => n -> VarDef(n.toLowerCase, t) }
+    def field(n: String, f: String): Expr = Proj(VarRef(v(n)), f)
+    def gen(name: String, parent: String, key: String, body: Expr): Expr =
+      ForUnion(v(name), InputBag(name, BagTpe(tpes(name))),
+        IfThenBag(Cmp("==", field(parent, key), field(name, key)), body))
+    /** `sumBy_key(for a in A ...)`. */
+    def sumBy(key: String, body: Expr): Expr =
+      SumByE(ForUnion(v("A"), InputBag("A", BagTpe(tpes("A"))), body), Seq(key), Seq("s"))
   }
 
   test("aggregation pushing introduces a partial sum below the Part join") {
-    val plan = Unnester.compile(TpchQueries.nestedToFlat(2, wide = false))
-    assert(!hasSumBelowJoin(plan))
+    // The flat join-aggregate: Lineitem's partial sum is keyed by the join key.
+    val plan = Unnester.compile(TpchQueries.nestedToFlat(0, wide = false))
+    assert(sumsBelowJoins(plan).isEmpty)
     val opt = Optimizer.full(plan)
-    assert(hasSumBelowJoin(opt))
+    assert(sumsBelowJoins(opt).nonEmpty)
     assert(countNestSum(opt) > countNestSum(plan))
   }
 
   test("full optimization gives the same plan on every call") {
-    val plan = Unnester.compile(TpchQueries.nestedToFlat(2, wide = false))
+    val sq = Shredder.shred("OUT", TpchQueries.nestedToFlat(2, wide = false))
+    val plan = Unnester.compile(sq.topAssignment.expr)
     val opt = Optimizer.full(plan)
     assert(opt.pretty().contains("__pa_1"))
     assert(Optimizer.full(plan) == opt)
@@ -152,7 +191,7 @@ class OptimizerSpec extends SparkSpec {
     Project(Join(
       Join(input("A", "a_g", "a_k", "a_x"), input("B", "b_k", "b_j"), Seq("a_k"), Seq("b_k"), lowerOuter),
       input("C", "c_j", "c_v"), upperLeft, upperRight, upperOuter),
-      Seq("a_g", "a_x", "c_j", "c_v").map(c => c -> (ColRef(c): ValExpr)))
+      Seq("a_g", "a_k", "a_x", "c_j", "c_v").map(c => c -> (ColRef(c): ValExpr)))
 
   private def summed(p: Plan, group: String = "a_g", sum: ValExpr = ColRef("c_v")): Plan =
     NestSum(p, Seq(group), Seq("s" -> sum))
@@ -160,10 +199,12 @@ class OptimizerSpec extends SparkSpec {
   private val rotated = Set("B", "C")
   private val kept    = Set("A", "B")
 
-  for ((what, sum) <- Seq("in the lower join's right side" -> ColRef("c_v"),
-                          "factored across the rotated join" -> ArithV("*", ColRef("a_x"), ColRef("c_v"))))
+  // A factored sum pre-aggregates the leaf `A`, so it groups by A's join key.
+  for ((what, group, sum) <- Seq(("in the lower join's right side", "a_g", ColRef("c_v")),
+                                 ("factored across the rotated join", "a_k", ArithV("*", ColRef("a_x"), ColRef("c_v")))))
     test(s"under a Γ⁺ with its sum $what, an inner join on the lower join's right columns joins that side first") {
-      assert(joinedInputs(Optimizer.full(summed(chain(Seq("b_j"), Seq("c_j")), sum = sum))).contains(rotated))
+      val plan = summed(chain(Seq("b_j"), Seq("c_j")), group, sum)
+      assert(joinedInputs(Optimizer.full(plan)).contains(rotated))
     }
 
   for ((what, plan) <- Seq(
@@ -204,31 +245,97 @@ class OptimizerSpec extends SparkSpec {
   }
 
   private lazy val chainQuery: Expr = {
-    val tpes = Map(
+    val g = new Gens(Map(
       "A" -> TupleTpe("g" -> StringTpe, "k" -> IntTpe), "B" -> TupleTpe("k" -> IntTpe, "j" -> IntTpe, "v" -> RealTpe),
-      "C" -> TupleTpe("j" -> IntTpe, "m" -> IntTpe), "D" -> TupleTpe("m" -> IntTpe, "w" -> RealTpe))
-    val v = tpes.map { case (n, t) => n -> VarDef(n.toLowerCase, t) }
-    def field(n: String, f: String): Expr = Proj(VarRef(v(n)), f)
-    // for x in <name> if parent.key == x.key then body
-    def gen(name: String, parent: String, key: String, body: Expr): Expr =
-      ForUnion(v(name), InputBag(name, BagTpe(tpes(name))),
-        IfThenBag(Cmp("==", field(parent, key), field(name, key)), body))
+      "C" -> TupleTpe("j" -> IntTpe, "m" -> IntTpe), "D" -> TupleTpe("m" -> IntTpe, "w" -> RealTpe)))
+    import g._
     val row = Sng(Tup("g" -> field("A", "g"), "s" -> Arith("*", field("B", "v"), field("D", "w"))))
-    SumByE(ForUnion(v("A"), InputBag("A", BagTpe(tpes("A"))),
-      gen("B", "A", "k", gen("C", "B", "j", gen("D", "C", "m", row)))), Seq("g"), Seq("s"))
+    sumBy("g", gen("B", "A", "k", gen("C", "B", "j", gen("D", "C", "m", row))))
   }
 
   test("a three-join chain with duplicate and NULL keys matches LocalEval at every level on both executors") {
     val plan = Unnester.compile(chainQuery)
     assert(joinedInputs(Optimizer.full(plan)).contains(Set("B", "C", "D")), Optimizer.full(plan).pretty())
-    val expected = TestUtil.localEval(chainQuery, TestUtil.toLocal(chainCatalog))
-    assert(expected.nonEmpty)
-    val rddCat = chainCatalog.map { case (n, df) => n -> RddExecutor.fromDataFrame(df) }
-    for (lvl <- 0 to 2) {
-      val opt = Optimizer.level(lvl)(plan)
-      TestUtil.assertBagEq(new SparkExecutor(chainCatalog).execute(opt), expected, s"Spark, level $lvl")
-      val rdd = LocalEval.canon(RddExecutor.toLocal(new RddExecutor(rddCat).execute(opt)))
-      assert(rdd == LocalEval.canon(expected), s"RDD, level $lvl")
+    assertLevelsMatchLocalEval(chainQuery, chainCatalog)
+  }
+
+  // ------------------------------------------- where a left pre-aggregate pays
+
+  /** `Γ⁺[group](A ⋈[a_k = c_k] C)` summing `a_x * c_v`. */
+  private def leafJoin(group: String): Plan =
+    NestSum(Join(input("A", "a_g", "a_k", "a_x"), input("C", "c_k", "c_v"), Seq("a_k"), Seq("c_k"), false),
+      Seq(group), Seq("s" -> ArithV("*", ColRef("a_x"), ColRef("c_v"))))
+
+  test("a leaf pre-aggregate keyed by more than its join keys is not created") {
+    assert(pushed(leafJoin("a_g")).isEmpty)
+    // T3's standard plan and T4's lowest dictionary: Γ⁺[…, l2__l_partkey] under the Part join.
+    val t4 = Shredder.shred("OUT", TpchQueries.nestedToNested(2, wide = false)).assignments.last
+    for (e <- Seq(TpchQueries.nestedToFlat(2, wide = false), t4.expr)) {
+      val plan = Unnester.compile(e)
+      assert(pushed(plan).isEmpty, Optimizer.full(plan).pretty())
     }
   }
+
+  test("a leaf pre-aggregate keyed by the join keys alone is still created") {
+    assert(pushed(leafJoin("a_k")) == Seq(Seq("a_k") -> false))
+  }
+
+  test("no rotation is kept for a push the guard refuses: the partial sum goes over the lower join") {
+    // Rotated, A's pre-aggregate would be keyed by a_g and a_k over a leaf.
+    val plan = summed(chain(Seq("b_j"), Seq("c_j")), sum = ArithV("*", ColRef("a_x"), ColRef("c_v")))
+    val joined = joinedInputs(Optimizer.full(plan))
+    assert(joined.contains(kept) && !joined.contains(rotated), joined)
+    assert(pushed(plan) == Seq(Seq("a_g", "b_j") -> true))
+  }
+
+  test("a pre-aggregate over a join is still created, as in C3") {
+    // (A ⋈[a_k = b_k] B) ⋈[a_x = c_j] C: the partial sum of a_x is keyed by
+    // a_g and a_x, and it lies over the A ⋈ B join.
+    val plan = summed(chain(Seq("a_x"), Seq("c_j")), sum = ArithV("*", ColRef("a_x"), ColRef("c_v")))
+    assert(pushed(plan) == Seq(Seq("a_g", "a_x") -> true))
+    val c3 = Shredder.shred("C3", BioQueries.clinical("C3")).assignments.find(_.name == "C3__D_mutations_candidates")
+    val c3Plan = Unnester.compile(c3.get.expr)
+    assert(pushed(c3Plan).exists(_._2), Optimizer.full(c3Plan).pretty())
+  }
+
+  /** `for a in A, b in B if a.k = b.k, c in C if a.j = c.j`, each input with
+    * NULL and duplicate join keys, and groups of several rows in A.
+    */
+  private lazy val guardCatalog = {
+    import spark.implicits._
+    Map(
+      "A" -> Seq[(String, Option[Long], Option[Long], Double)](("x", Some(1L), Some(10L), 1.0),
+        ("x", Some(1L), Some(10L), 2.0), ("x", Some(1L), Some(20L), 4.0), ("y", Some(1L), Some(10L), 8.0),
+        ("y", Some(2L), None, 16.0), ("z", None, Some(10L), 32.0), ("z", Some(2L), Some(20L), 64.0))
+        .toDF("g", "k", "j", "x"),
+      "B" -> Seq[(Option[Long], Double)]((Some(1L), 1.0), (Some(1L), 10.0), (None, 100.0), (Some(2L), 1000.0))
+        .toDF("k", "v"),
+      "C" -> Seq[(Option[Long], Double)]((Some(10L), 1.0), (Some(10L), 3.0), (None, 5.0), (Some(20L), 7.0))
+        .toDF("j", "w"))
+  }
+
+  /** Three sums over `guardCatalog`, each with the Γ⁺s `full` leaves below a
+    * join, as (grouping, whether a join lies below).
+    */
+  private lazy val guardQueries: Seq[(String, Expr, Seq[(Seq[String], Boolean)])] = {
+    val g = new Gens(Map(
+      "A" -> TupleTpe("g" -> StringTpe, "k" -> IntTpe, "j" -> IntTpe, "x" -> RealTpe),
+      "B" -> TupleTpe("k" -> IntTpe, "v" -> RealTpe), "C" -> TupleTpe("j" -> IntTpe, "w" -> RealTpe)))
+    import g._
+    def row(key: String, s: Expr) = Sng(Tup(key -> field("A", key), "s" -> s))
+    val ac = Arith("*", field("A", "x"), field("C", "w"))
+    val bc = Arith("*", field("B", "v"), field("C", "w"))
+    Seq(
+      ("A ⋈ C grouped by A's non-key", sumBy("g", gen("C", "A", "j", row("g", ac))), Nil),
+      ("A ⋈ C grouped by the join key", sumBy("j", gen("C", "A", "j", row("j", ac))), Seq(Seq("a__j") -> false)),
+      ("(A ⋈ B) ⋈ C", sumBy("g", gen("B", "A", "k", gen("C", "A", "j", row("g", bc)))),
+        Seq(Seq("a__g", "a__j") -> true, Seq("b__k") -> false)))
+  }
+
+  for ((name, q, sums) <- guardQueries)
+    test(s"$name: the pre-aggregates full keeps match LocalEval at every level on both executors") {
+      val plan = Unnester.compile(q)
+      assert(pushed(plan) == sums, Optimizer.full(plan).pretty())
+      assertLevelsMatchLocalEval(q, guardCatalog)
+    }
 }

@@ -3,7 +3,7 @@ package repro.shred
 import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestData, TestUtil}
 import repro.core.SparkValues
-import repro.core.plan.{Join, NestSum, Optimizer, Plan, Project, Unnester}
+import repro.core.plan.{Join, NestSum, Optimizer, Plan, Project, Select, Source, Unnester}
 import repro.core.exec.{Routes, SparkExecutor}
 import repro.data.NestedTpch
 import repro.queries.TpchQueries
@@ -85,11 +85,13 @@ class ShredRouteSpec extends SparkSpec {
   private def joins(p: Plan): Seq[Join] =
     (p match { case j: Join => Seq(j); case _ => Nil }) ++ p.children.flatMap(joins)
 
+  private def belowProjects(p: Plan): Plan = p match {
+    case Project(c, _) => belowProjects(c)
+    case Select(c, _)  => belowProjects(c)
+    case other         => other
+  }
+
   test("nested-to-flat under full: Part joins the lowest dictionary, and every label join reads a Γ⁺ per label") {
-    def belowProjects(p: Plan): Plan = p match {
-      case Project(c, _) => belowProjects(c)
-      case other         => other
-    }
     for (level <- 1 to 4; wide <- Seq(false, true)) {
       val tag = s"level $level ${if (wide) "wide" else "narrow"}"
       val sq = Shredder.shred("OUT", TpchQueries.nestedToFlat(level, wide))
@@ -114,6 +116,32 @@ class ShredRouteSpec extends SparkSpec {
       assert(withPart.map(_.name) == Seq(sq.assignments.last.name),
         s"level $level ${if (wide) "wide" else "narrow"}: ${sq.assignments.map(_.name)}")
     }
+  }
+
+  test("under full, the Part join reads the un-aggregated lowest dictionary") {
+    for (level <- 1 to 4; wide <- Seq(false, true)) {
+      val n2f = Shredder.shred("OUT", TpchQueries.nestedToFlat(level, wide)).topAssignment
+      val n2n = Shredder.shred("OUT", TpchQueries.nestedToNested(level, wide)).assignments.last
+      for (a <- Seq(n2f, n2n)) {
+        val plan = Optimizer.full(Unnester.compile(a.expr))
+        val partJoins = joins(plan).filter(j => TestUtil.inputs(j.right) == Set("Part"))
+        assert(partJoins.map(j => belowProjects(j.left)) match {
+          case Seq(Source(dict)) => dict.endsWith("_oparts")
+          case _                 => false
+        }, s"level $level ${if (wide) "wide" else "narrow"} ${a.name}\n${plan.pretty()}")
+      }
+    }
+  }
+
+  test("under full, T3's shredded top assignment and its standard plan run 7 shuffle exchanges") {
+    // 8 each when a Γ⁺[label or c_name, partkey] pre-aggregated the Part join's input.
+    val q = TpchQueries.nestedToFlat(2, wide = false)
+    val sq = Shredder.shred("T3", q)
+    def exchanges(e: repro.core.NRC.Expr, cat: Map[String, DataFrame]) =
+      TestUtil.shuffleExchanges(new SparkExecutor(cat).execute(Optimizer.full(Unnester.compile(e))))
+    val nested = catalog + (NestedTpch.inputName(2, wide = false) -> NestedTpch.nestedInput(t, 2, wide = false))
+    assert(exchanges(sq.topAssignment.expr, catalog ++ NestedTpch.shreddedInput(t, 2, wide = false)) == 7)
+    assert(exchanges(q, nested) == 7)
   }
 
   test("shredded output of flat-to-nested matches the B.1.3 shredded input") {
