@@ -11,12 +11,16 @@ import Harness._
 /** Fig. 8 / App. E.6 / App. E.7 — skew-handling on the narrow
   * nested-to-nested level-2 query over increasingly skewed inputs.
   *
-  * Per the paper's setup: skew-unaware variants run with aggregation
-  * pushing (on this query it fires only in Shred's lowest dictionary; the
-  * standard plan has nothing it can push); skew-aware variants run without
-  * it and rely on the light/heavy split. `pushAggForUnaware = false`
-  * reproduces E.6; `skews = Seq(0)` with all variants reproduces the E.7
-  * overhead table.
+  * Per the paper's setup: skew-unaware variants run `Optimizer.full`, with
+  * aggregation pushing (on this query it fires on no plan: the standard
+  * plan has nothing it can push, and Shred's lowest dictionary would only
+  * get a leaf pre-aggregate keyed by more than its join key, which the
+  * optimizer does not make); skew-aware variants run `pushProjections` and
+  * rely on the light/heavy split. The one plan difference `full` makes
+  * here is the partitioned nest stack of the standard plan.
+  * `pushAggForUnaware = false` reproduces E.6 (every variant at
+  * `pushProjections`); `skews = Seq(0)` with all variants reproduces the
+  * E.7 overhead table.
   */
 object Fig8 {
 

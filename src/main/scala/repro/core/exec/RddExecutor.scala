@@ -105,6 +105,8 @@ final class RddExecutor(catalog: Map[String, RDD[Map[String, Any]]]) {
 
     case DedupP(c)    => execute(c).distinct()
     case UnionP(l, r) => execute(l).union(execute(r))
+    // Each nest above groups by its own key, so the partitioning is moot.
+    case Partition(c, _) => execute(c)
   }
 }
 

@@ -68,6 +68,10 @@ final class SparkExecutor(
 
     case UnionP(l, r) =>
       execute(l).unionByName(execute(r))
+
+    // No partition count, so AQE coalesces this exchange like any other.
+    case Partition(child, keys) =>
+      execute(child).repartition(keys.map(col): _*)
   }
 
   def toCol(e: ValExpr): Column = SparkExecutor.toCol(e)

@@ -50,10 +50,30 @@ import repro.core.RealTpe
   *    output. AQE's skew-join handling cannot split such a join
   *    without a second shuffle, so it leaves it whole; skew is the job of
   *    the §5 skew-aware route, which runs at `pushProjections`.
+  *  - **Nest→nest partitioning reuse**: the standard route rebuilds a
+  *    nested output bottom-up, one nest per level, and each lower nest's
+  *    key contains the key of the nest above it. A hash partitioning on a
+  *    subset of a grouping's columns satisfies that grouping (Zhou, Larson
+  *    & Chaiken, ICDE 2010; Spark's `EnsureRequirements` honours it), so one
+  *    exchange on the top key serves a whole stack. For a stack N₁ (top) …
+  *    Nₖ, each reached from the one above through Projects that pass N₁'s
+  *    non-empty key unchanged and each grouped by a superset of that key,
+  *    a `Partition` on N₁'s key goes directly under Nₖ: the k exchanges of
+  *    the stack become one. Where Nₖ already runs in its join's stage (its
+  *    key holds the join's left keys, as the cogroup makes it), the
+  *    `Partition` goes directly above Nₖ instead, and the k − 1 exchanges
+  *    above it become one. The rule is made only where it removes an
+  *    exchange (standard T1's four Γ⊎, T4's Γ⊎/Γ⊎/Γ⁺ stack; no shredded
+  *    benchmark assignment has a stack, as each builds a flat bag). The
+  *    cost is parallelism: the stack then runs in at most as many tasks as
+  *    the top key has values (5 regions for T1, whose top Γ⊎ already had
+  *    that limit). A `Partition` under a Γ⁺ also comes before its map-side
+  *    partial sum, so it pays only where that sum's groups are small, as
+  *    in T4 (a part name per order).
   *
   * `Optimizer.level` mirrors the E.4 experiment: 0 = none, 1 = pushed
-  * projections, 2 = full (projections, aggregation pushing and partitioning
-  * reuse).
+  * projections, 2 = full (projections, aggregation pushing and both
+  * partitioning reuses).
   */
 object Optimizer {
 
@@ -61,7 +81,7 @@ object Optimizer {
 
   val pushProjections: Plan => Plan = p => prune(p, None)
 
-  val full: Plan => Plan = p => prune(cogroup(pushAgg(p)), None)
+  val full: Plan => Plan = p => prune(partitionStacks(cogroup(pushAgg(p))), None)
 
   def level(n: Int): Plan => Plan = n match {
     case 0 => none
@@ -107,29 +127,13 @@ object Optimizer {
       val below = g.toSet ++ sums.flatMap(_._2.cols)
       NestSum(prune(c, Some(below)), g, sums)
 
+    case Partition(c, keys) => Partition(prune(c, needed.map(_ ++ keys)), keys)
     case DedupP(c)   => DedupP(prune(c, needed))
     case UnionP(l, r) => UnionP(prune(l, needed), prune(r, needed))
     case s: Source   => s
   }
 
   // --------------------------------------------------- aggregation pushing
-
-  /** Output columns of a plan (Sources are always wrapped in a Project by
-    * the unnester, so the traversal is complete).
-    */
-  def colsOf(p: Plan): Set[String] = p match {
-    case _: Source            => Set.empty
-    case Project(_, cols)     => cols.map(_._1).toSet
-    case Select(c, _)         => colsOf(c)
-    case Join(l, r, _, _, _)  => colsOf(l) ++ colsOf(r)
-    case Unnest(c, bagCol, fields, prefix, _, pres) =>
-      colsOf(c) - bagCol ++ fields.map(f => s"${prefix}__$f") ++ pres
-    case AddIndex(c, col)     => colsOf(c) + col
-    case NestBag(_, g, _, out, _) => g.toSet + out
-    case NestSum(_, g, sums)  => g.toSet ++ sums.map(_._1)
-    case DedupP(c)            => colsOf(c)
-    case UnionP(l, _)         => colsOf(l)
-  }
 
   /** Aggregation pushing. Partial-sum columns are numbered per call, so a
     * plan's rewrite does not depend on the rewrites made before it.
@@ -146,21 +150,21 @@ object Optimizer {
         // grouping stays in its left input and a partial sum pushes into it.
         val base = rotate(chain) match {
           case j @ Join(l, r, lk, _, _)
-              if groupInner.forall(_.cols.subsetOf(colsOf(l))) &&
-                (vInner.cols.nonEmpty && vInner.cols.subsetOf(colsOf(r)) ||
-                  factor(vInner, colsOf(l), colsOf(r)).nonEmpty &&
+              if groupInner.forall(_.cols.subsetOf(l.outputCols)) &&
+                (vInner.cols.nonEmpty && vInner.cols.subsetOf(r.outputCols) ||
+                  factor(vInner, l.outputCols, r.outputCols).nonEmpty &&
                     preAggregates(l, groupInner.flatMap(_.cols), lk)) => j
           case _ => chain
         }
         base match {
           case Join(l, r, lk, rk, joinOuter) =>
             if (!groupInner.forall(_.isInstanceOf[ColRef]))
-              return mapChildrenPlan(ns, push)
+              return ns.mapChildren(push)
             val gInner = groupInner.map { case ColRef(n) => n; case _ => sys.error("unreachable") }
             def restore(inner: Plan): Plan =
               Project(inner, group.zip(gInner).map { case (g, n) => g -> (ColRef(n): ValExpr) } :+
                 (out -> (ColRef(out): ValExpr)))
-            val (lc, rc) = (colsOf(l), colsOf(r))
+            val (lc, rc) = (l.outputCols, r.outputCols)
             if (vInner.cols.nonEmpty && vInner.cols.subsetOf(rc) && !joinOuter) {
               // The summed expression lives entirely on the right side:
               // pre-aggregate it below the join — this is what localizes the
@@ -179,11 +183,11 @@ object Optimizer {
                 val lAgg = push(NestSum(l, lGroup, Seq(tmp -> lExpr)))
                 restore(NestSum(Join(lAgg, r, lk, rk, joinOuter), gInner,
                   Seq(out -> ArithV("*", ColRef(tmp), rExpr))))
-              case _ => mapChildrenPlan(ns, push)
+              case _ => ns.mapChildren(push)
             }
-          case _ => mapChildrenPlan(ns, push)
+          case _ => ns.mapChildren(push)
         }
-      case other => mapChildrenPlan(other, push)
+      case other => other.mapChildren(push)
     }
     push(p)
   }
@@ -193,7 +197,7 @@ object Optimizer {
     * does, or `l` holds a join the partial sum can push further into.
     */
   private def preAggregates(l: Plan, group: Seq[String], lk: Seq[String]): Boolean =
-    group.filter(colsOf(l)).forall(lk.contains) || hasJoin(l)
+    group.filter(l.outputCols).forall(lk.contains) || hasJoin(l)
 
   private def hasJoin(p: Plan): Boolean = p.isInstanceOf[Join] || p.children.exists(hasJoin)
 
@@ -202,14 +206,14 @@ object Optimizer {
     */
   private def rotate(p: Plan): Plan = p match {
     case Join(Join(a, b, lk1, rk1, false), c, lk2, rk2, false)
-        if lk2.nonEmpty && lk2.toSet.subsetOf(colsOf(b)) =>
+        if lk2.nonEmpty && lk2.toSet.subsetOf(b.outputCols) =>
       rotate(Join(a, rotate(Join(b, c, lk2, rk2, false)), lk1, rk1, false))
     case other => other
   }
 
   // ------------------------------------------- join→nest partitioning reuse
 
-  private def cogroup(p: Plan): Plan = mapChildrenPlan(p, cogroup) match {
+  private def cogroup(p: Plan): Plan = p.mapChildren(cogroup) match {
     case NestBag(c, g, sc, out, pres) =>
       val (c2, g2) = groupOnJoinKeys(c, g)
       NestBag(c2, g2, sc, out, pres)
@@ -251,6 +255,63 @@ object Optimizer {
     }
   }
 
+  // ------------------------------------------ nest→nest partitioning reuse
+
+  /** At each stack of nests N₁ (top) … Nₖ whose keys all contain N₁'s
+    * non-empty key, one `Partition` on that key: under Nₖ, or above it when
+    * Nₖ already runs in its join's stage. Placed only where it removes an
+    * exchange.
+    */
+  private def partitionStacks(p: Plan): Plan = {
+    val key   = groupCols(p)
+    val stack = if (key.isEmpty) Nil else nestsBelow(p, key)
+    stack.lastOption match {
+      case Some(low) if stack.size >= 3 && inJoinStage(low) =>
+        placeAt(p, low, Partition(low.mapChildren(partitionStacks), key))
+      case Some(low) if stack.size >= 2 && !inJoinStage(low) =>
+        placeAt(p, low, low.mapChildren(c => Partition(partitionStacks(c), key)))
+      case _ => p.mapChildren(partitionStacks)
+    }
+  }
+
+  private def groupCols(p: Plan): Seq[String] = p match {
+    case NestBag(_, g, _, _, _) => g
+    case NestSum(_, g, _)       => g
+    case _                      => Nil
+  }
+
+  /** `nest` and the nests below it, each reached from the one above through
+    * Projects that pass `key` unchanged and grouped by a superset of `key`.
+    */
+  private def nestsBelow(nest: Plan, key: Seq[String]): List[Plan] = {
+    def next(p: Plan): Option[Plan] = p match {
+      case Project(c, cols) if key.forall(k => cols.contains(k -> ColRef(k))) => next(c)
+      case n @ (_: NestBag | _: NestSum) if key.forall(groupCols(n).contains) => Some(n)
+      case _ => None
+    }
+    nest :: nest.children.headOption.flatMap(next).map(nestsBelow(_, key)).getOrElse(Nil)
+  }
+
+  /** Whether `nest` groups by the left keys of a join it reaches through
+    * Projects and Selects, so Spark runs it in that join's stage.
+    */
+  private def inJoinStage(nest: Plan): Boolean = {
+    def leftKeys(p: Plan): Seq[String] = p match {
+      case Join(_, _, lk, _, _) => lk
+      case Select(c, _)         => leftKeys(c)
+      case Project(c, cols)     =>
+        val lk = leftKeys(c)
+        if (lk.forall(k => cols.contains(k -> ColRef(k)))) lk else Nil
+      case _                    => Nil
+    }
+    val lk = nest.children.flatMap(leftKeys)
+    lk.nonEmpty && lk.forall(groupCols(nest).contains)
+  }
+
+  /** `p` with the nest `low` of its stack replaced by `by`. */
+  private def placeAt(p: Plan, low: Plan, by: Plan): Plan =
+    if (p eq low) by else p.mapChildren(placeAt(_, low, by))
+
   /** Peel `Project` layers, composing their column definitions. */
   private def resolveThroughProjects(p: Plan): (Plan, Map[String, ValExpr]) = p match {
     case Project(c, cols) =>
@@ -285,17 +346,4 @@ object Optimizer {
                                 a.cols.subsetOf(rCols) && a.cols.nonEmpty => Some((b, a))
       case _ => None
     }
-
-  private def mapChildrenPlan(p: Plan, f: Plan => Plan): Plan = p match {
-    case s: Source            => s
-    case Select(c, cond)      => Select(f(c), cond)
-    case Project(c, cols)     => Project(f(c), cols)
-    case Join(l, r, lk, rk, o) => Join(f(l), f(r), lk, rk, o)
-    case Unnest(c, b, fs, pr, o, pc) => Unnest(f(c), b, fs, pr, o, pc)
-    case AddIndex(c, col)     => AddIndex(f(c), col)
-    case NestBag(c, g, sc, out, pres) => NestBag(f(c), g, sc, out, pres)
-    case NestSum(c, g, sums)  => NestSum(f(c), g, sums)
-    case DedupP(c)            => DedupP(f(c))
-    case UnionP(l, r)         => UnionP(f(l), f(r))
-  }
 }

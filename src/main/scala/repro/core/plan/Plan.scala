@@ -43,7 +43,8 @@ object ValExpr {
 
 /** Algebraic plan language of §2.2: selection, projection, (outer) join,
   * (outer) unnest, nest Γ⁺/Γ⊎, dedup and union, plus the unique-ID operator
-  * used by outer-unnest. Executed by [[repro.core.exec.SparkExecutor]]
+  * used by outer-unnest and the hash partitioning the optimizer places under
+  * a stack of nests. Executed by [[repro.core.exec.SparkExecutor]]
   * (DataFrames, Fig. 10) and [[repro.core.exec.RddExecutor]] (RDDs, Fig. 11).
   */
 sealed trait Plan {
@@ -58,6 +59,40 @@ sealed trait Plan {
     case NestSum(c, _, _)         => Seq(c)
     case DedupP(c)                => Seq(c)
     case UnionP(l, r)             => Seq(l, r)
+    case Partition(c, _)          => Seq(c)
+  }
+
+  /** Output columns (Sources are always wrapped in a Project by the
+    * unnester, so the traversal is complete).
+    */
+  def outputCols: Set[String] = this match {
+    case _: Source            => Set.empty
+    case Project(_, cols)     => cols.map(_._1).toSet
+    case Select(c, _)         => c.outputCols
+    case Join(l, r, _, _, _)  => l.outputCols ++ r.outputCols
+    case Unnest(c, bagCol, fields, prefix, _, pres) =>
+      c.outputCols - bagCol ++ fields.map(f => s"${prefix}__$f") ++ pres
+    case AddIndex(c, col)     => c.outputCols + col
+    case NestBag(_, g, _, out, _) => g.toSet + out
+    case NestSum(_, g, sums)  => g.toSet ++ sums.map(_._1)
+    case DedupP(c)            => c.outputCols
+    case UnionP(l, _)         => l.outputCols
+    case Partition(c, _)      => c.outputCols
+  }
+
+  /** This operator over `f` of each child. */
+  def mapChildren(f: Plan => Plan): Plan = this match {
+    case s: Source            => s
+    case Select(c, cond)      => Select(f(c), cond)
+    case Project(c, cols)     => Project(f(c), cols)
+    case Join(l, r, lk, rk, o) => Join(f(l), f(r), lk, rk, o)
+    case Unnest(c, b, fs, pr, o, pc) => Unnest(f(c), b, fs, pr, o, pc)
+    case AddIndex(c, col)     => AddIndex(f(c), col)
+    case NestBag(c, g, sc, out, pres) => NestBag(f(c), g, sc, out, pres)
+    case NestSum(c, g, sums)  => NestSum(f(c), g, sums)
+    case DedupP(c)            => DedupP(f(c))
+    case UnionP(l, r)         => UnionP(f(l), f(r))
+    case Partition(c, keys)   => Partition(f(c), keys)
   }
 
   /** Operator count — used in tests asserting plan shapes. */
@@ -76,6 +111,7 @@ sealed trait Plan {
       case NestSum(_, g, s)     => s"Γ+[key=${g.mkString(",")} → ${s.map(_._1).mkString(",")}]"
       case DedupP(_)            => "dedup"
       case UnionP(_, _)         => "⊎"
+      case Partition(_, keys)   => s"partition[${keys.mkString(",")}]"
     }
     (pad + head) + children.map("\n" + _.pretty(indent + 1)).mkString
   }
@@ -128,3 +164,9 @@ final case class DedupP(child: Plan) extends Plan
 
 /** ⊎ — additive union (by column name). */
 final case class UnionP(l: Plan, r: Plan) extends Plan
+
+/** Hash-partition the rows by `keys`; the rows themselves are unchanged.
+  * Placed by the optimizer where one exchange serves a stack of nests
+  * grouped by supersets of `keys`.
+  */
+final case class Partition(child: Plan, keys: Seq[String]) extends Plan

@@ -66,12 +66,13 @@ class OptimizerSpec extends SparkSpec {
   private final class Gens(tpes: Map[String, TupleTpe]) {
     private val v = tpes.map { case (n, t) => n -> VarDef(n.toLowerCase, t) }
     def field(n: String, f: String): Expr = Proj(VarRef(v(n)), f)
+    /** `for x in src then body`, `src` defaulting to the input `name`. */
+    def each(name: String, body: Expr, src: Option[Expr] = None): Expr =
+      ForUnion(v(name), src.getOrElse(InputBag(name, BagTpe(tpes(name)))), body)
     def gen(name: String, parent: String, key: String, body: Expr): Expr =
-      ForUnion(v(name), InputBag(name, BagTpe(tpes(name))),
-        IfThenBag(Cmp("==", field(parent, key), field(name, key)), body))
+      each(name, IfThenBag(Cmp("==", field(parent, key), field(name, key)), body))
     /** `sumBy_key(for a in A ...)`. */
-    def sumBy(key: String, body: Expr): Expr =
-      SumByE(ForUnion(v("A"), InputBag("A", BagTpe(tpes("A"))), body), Seq(key), Seq("s"))
+    def sumBy(key: String, body: Expr): Expr = SumByE(each("A", body), Seq(key), Seq("s"))
   }
 
   test("aggregation pushing introduces a partial sum below the Part join") {
@@ -165,15 +166,129 @@ class OptimizerSpec extends SparkSpec {
       case _ => p.children.exists(partJoinAfterUnnest)
     }
     assert(partJoinAfterUnnest(plan))
-    assert(Optimizer.full(plan) == Optimizer.pushProjections(plan))
+    // The Γ⁺ keeps its key; the one difference is the stack's partitioning.
+    val (full, pushed) = (Optimizer.full(plan), Optimizer.pushProjections(plan))
+    assert(nests(full) == nests(pushed), full.pretty())
+    assert(partitions(full).map(_.keys) == Seq(Seq("__id_2", "__h_1")), full.pretty())
+    assert(withoutPartitions(full) == pushed)
   }
 
-  test("the full level runs flat-to-nested level 4 wide with one shuffle fewer") {
+  test("the full level runs flat-to-nested level 4 wide with three shuffles fewer") {
+    // One from the cogroup, two from the partitioned Γ⊎ stack above it.
     val plan = Unnester.compile(TpchQueries.flatToNested(4, wide = true))
     def exchanges(optimize: Plan => Plan) =
       TestUtil.shuffleExchanges(new SparkExecutor(catalog).execute(optimize(plan)))
-    assert(exchanges(Optimizer.full) == exchanges(Optimizer.pushProjections) - 1)
+    assert(exchanges(Optimizer.full) == exchanges(Optimizer.pushProjections) - 3)
   }
+
+  // ------------------------------------------ nest→nest partitioning reuse
+
+  /** Each `Partition` of `p`, top-down. */
+  private def partitions(p: Plan): Seq[Partition] =
+    (p match { case n: Partition => Seq(n); case _ => Nil }) ++ p.children.flatMap(partitions)
+
+  private def withoutPartitions(p: Plan): Plan = p match {
+    case Partition(c, _) => withoutPartitions(c)
+    case _               => p.mapChildren(withoutPartitions)
+  }
+
+  /** The keys of each Γ⊎/Γ⁺ of `p`, top-down. */
+  private def nests(p: Plan): Seq[Seq[String]] =
+    (p match {
+      case n: NestBag => Seq(n.groupCols); case n: NestSum => Seq(n.groupCols); case _ => Nil
+    }) ++ p.children.flatMap(nests)
+
+  /** `Γ⊎[top](π(Γ⊎[low](A)))`, the Project passing `passed`. */
+  private def twoNests(top: Seq[String], low: Seq[String], passed: Seq[String]): Plan =
+    NestBag(Project(NestBag(input("A", "a_g", "a_k", "a_x"), low, Seq("x" -> "a_x"), "xs", None),
+      passed.map(c => c -> (ColRef(c): ValExpr))), top, Seq("k" -> "a_k", "xs" -> "xs"), "ks", None)
+
+  test("a stack of two nests is partitioned by the top key under the lower nest") {
+    val full = Optimizer.full(twoNests(Seq("a_g"), Seq("a_g", "a_k"), Seq("a_g", "a_k", "xs")))
+    assert(partitions(full).map(_.keys) == Seq(Seq("a_g")))
+    assert(partitions(full).forall(_.child.isInstanceOf[Project]), full.pretty())
+  }
+
+  for ((what, plan) <- Seq(
+    "the lower key does not contain the top key" -> twoNests(Seq("a_g"), Seq("a_k"), Seq("a_k", "xs")),
+    "a Project between them computes the top key" -> NestBag(
+      Project(NestBag(input("A", "a_g", "a_k", "a_x"), Seq("a_g", "a_k"), Seq("x" -> "a_x"), "xs", None),
+        Seq("a_g" -> ArithV("+", ColRef("a_g"), LitV(1.0, RealTpe)), "a_k" -> ColRef("a_k"), "xs" -> ColRef("xs"))),
+      Seq("a_g"), Seq("k" -> "a_k", "xs" -> "xs"), "ks", None),
+    "the top key is empty" -> twoNests(Nil, Seq("a_g", "a_k"), Seq("a_g", "a_k", "xs")),
+    "only two nests stack and the lower runs in its join's stage" ->
+      Unnester.compile(TpchQueries.flatToNested(2, wide = false))))
+    test(s"no partition is placed when $what") {
+      assert(partitions(Optimizer.full(plan)).isEmpty, Optimizer.full(plan).pretty())
+    }
+
+  test("a stack whose lowest nest runs in its join's stage is partitioned above that nest") {
+    val full = Optimizer.full(Unnester.compile(TpchQueries.flatToNested(3, wide = false)))
+    // Above the lowest Γ⊎ and below the two above it.
+    assert(partitions(full).map(p => p.child.isInstanceOf[NestBag] -> nests(p.child).size) == Seq(true -> 1),
+      full.pretty())
+    assert(nests(full).size == 3)
+  }
+
+  test("under full, standard nested-to-nested level 2 narrow runs two exchanges fewer") {
+    val q = TpchQueries.nestedToNested(2, wide = false)
+    val cat = catalog + (NestedTpch.inputName(2, wide = false) -> NestedTpch.nestedInput(t, 2, wide = false))
+    def exchanges(optimize: Plan => Plan) =
+      TestUtil.shuffleExchanges(new SparkExecutor(cat).execute(optimize(Unnester.compile(q))))
+    assert(exchanges(Optimizer.full) == exchanges(Optimizer.pushProjections) - 2)
+  }
+
+  /** Inputs with NULL top-key attributes, duplicate rows and keys, empty
+    * bags and unmatched join keys: `A(g, k, bs: {(j, v)})`, `B(k, h, j)`,
+    * `C(j, m, w)`, `D(m, u)`.
+    */
+  private lazy val stackCatalog = {
+    import spark.implicits._
+    val bs = Seq[(Option[String], Option[Long], Seq[(Option[Long], Double)])](
+      (Some("x"), Some(1L), Seq((Some(10L), 1.0), (Some(10L), 2.0), (Some(20L), 4.0))),
+      (Some("x"), Some(1L), Seq((Some(10L), 1.0), (Some(10L), 2.0), (Some(20L), 4.0))),
+      (None, Some(1L), Seq((None, 8.0), (Some(30L), 16.0))),
+      (None, None, Seq.empty),
+      (Some("y"), Some(2L), Seq((Some(20L), 32.0))),
+      (Some("z"), Some(9L), Seq.empty)).toDF("g", "k", "bs")
+      .selectExpr("g", "k", "transform(bs, e -> named_struct('j', e._1, 'v', e._2)) AS bs")
+    Map(
+      "A" -> bs,
+      "B" -> Seq[(Option[Long], Option[String], Option[Long])]((Some(1L), Some("p"), Some(10L)),
+        (Some(1L), Some("p"), Some(10L)), (Some(1L), None, Some(20L)), (None, Some("q"), Some(10L)),
+        (Some(2L), Some("r"), None), (Some(2L), Some("s"), Some(40L))).toDF("k", "h", "j"),
+      "C" -> Seq[(Option[Long], Option[Long], Double)]((Some(10L), Some(7L), 1.0), (Some(10L), Some(7L), 1.0),
+        (None, Some(7L), 3.0), (Some(20L), None, 5.0), (Some(20L), Some(8L), 6.0)).toDF("j", "m", "w"),
+      "D" -> Seq[(Option[Long], Option[String])]((Some(7L), Some("u")), (Some(7L), Some("u")), (None, Some("v")),
+        (Some(7L), None)).toDF("m", "u"))
+  }
+
+  private lazy val stackQueries: Seq[(String, Expr)] = {
+    val elem = TupleTpe("j" -> IntTpe, "v" -> RealTpe)
+    val g = new Gens(Map(
+      "A" -> TupleTpe("g" -> StringTpe, "k" -> IntTpe, "bs" -> BagTpe(elem)), "E" -> elem,
+      "B" -> TupleTpe("k" -> IntTpe, "h" -> StringTpe, "j" -> IntTpe),
+      "C" -> TupleTpe("j" -> IntTpe, "m" -> IntTpe, "w" -> RealTpe), "D" -> TupleTpe("m" -> IntTpe, "u" -> StringTpe)))
+    import g._
+    // for a in A yield (g, bs := for b in B if a.k = b.k yield (h, cs := for c in C if b.j = c.j
+    //   yield (w, ds := for d in D if c.m = d.m yield (u))))
+    val ds = gen("D", "C", "m", Sng(Tup("u" -> field("D", "u"))))
+    val cs = gen("C", "B", "j", Sng(Tup("w" -> field("C", "w"), "ds" -> ds)))
+    val flat = each("A", Sng(Tup("g" -> field("A", "g"), "bs" -> gen("B", "A", "k", Sng(Tup(
+      "h" -> field("B", "h"), "cs" -> cs))))))
+    // for a in A yield (g, bs := sumBy_j^s(for e in a.bs, c in C if e.j = c.j yield (j, s := e.v * c.w)))
+    val row = Sng(Tup("j" -> field("E", "j"), "s" -> Arith("*", field("E", "v"), field("C", "w"))))
+    val summed = each("A", Sng(Tup("g" -> field("A", "g"),
+      "bs" -> SumByE(each("E", gen("C", "E", "j", row), Some(field("A", "bs"))), Seq("j"), Seq("s")))))
+    Seq("a three-level Γ⊎ stack over joins" -> flat, "a Γ⊎ over a Γ⁺ after an outer unnest" -> summed)
+  }
+
+  for ((name, q) <- stackQueries)
+    test(s"$name, partitioned by its top key, matches LocalEval at every level on both executors") {
+      val full = Optimizer.full(Unnester.compile(q))
+      assert(partitions(full).size == 1, full.pretty())
+      assertLevelsMatchLocalEval(q, stackCatalog)
+    }
 
   // ------------------------------------------------ bottom-up label chains
 

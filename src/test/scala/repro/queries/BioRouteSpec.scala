@@ -6,6 +6,7 @@ import repro.{SparkSpec, TestUtil}
 import repro.core.NRC
 import repro.core.NRC.Program
 import repro.core.exec.Routes
+import repro.core.plan.{Optimizer, Plan, Unnest, Unnester}
 import repro.data.BioData
 import repro.shred.{Shredder, Unshredder}
 
@@ -125,6 +126,13 @@ class BioRouteSpec extends SparkSpec {
     // Recording changes no result.
     val plain = Routes.run(p, catalog)
     names.foreach(n => TestUtil.assertBagEq(cat(n), plain(n)))
+  }
+
+  test("T5 Step 2 under full: SampleNetwork__D_nodes joins the scores dictionary without flattening") {
+    val plan = Optimizer.full(Unnester.compile(shredded(BioQueries.e2e)("SampleNetwork__D_nodes").expr))
+    def unnests(p: Plan): Boolean = p.isInstanceOf[Unnest] || p.children.exists(unnests)
+    assert(TestUtil.inputs(plan).contains("HybridMatrix__D_scores"), plan.pretty())
+    assert(!TestUtil.inputs(plan).contains("HybridMatrix") && !unnests(plan), plan.pretty())
   }
 
   private def aliasesRead(df: DataFrame): Set[String] =
