@@ -18,9 +18,11 @@ import Harness._
   * optimizer does not make); skew-aware variants run `pushProjections` and
   * rely on the light/heavy split. The one plan difference `full` makes
   * here is the partitioned nest stack of the standard plan.
-  * `pushAggForUnaware = false` reproduces E.6 (every variant at
-  * `pushProjections`); `skews = Seq(0)` with all variants reproduces the
-  * E.7 overhead table.
+  * `pushAggForUnaware = false` reproduces E.6: the skew-unaware variants
+  * run `Optimizer.withoutAggPushing`, `full` without aggregation pushing,
+  * so they keep the partitioned nest stack and the E.6 table differs from
+  * Fig. 8 in pushing alone. `skews = Seq(0)` with all variants reproduces
+  * the E.7 overhead table.
   */
 object Fig8 {
 
@@ -40,7 +42,7 @@ object Fig8 {
       val inName = NestedTpch.inputName(level, wide = false)
       val cat = NestedTpch.catalog(t) + (inName -> nested) ++ shredded
       val q = TpchQueries.nestedToNested(level, wide = false)
-      val optUnaware = if (pushAggForUnaware) Optimizer.full else Optimizer.pushProjections
+      val optUnaware = if (pushAggForUnaware) Optimizer.full else Optimizer.withoutAggPushing
 
       out += measure(spark, table, cfg, "SparkSQL") {
         force(SparkSQLBaseline.nestedToNested(spark, nested, t.part, level, wide = false))

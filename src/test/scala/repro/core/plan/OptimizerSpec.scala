@@ -166,10 +166,12 @@ class OptimizerSpec extends SparkSpec {
       case _ => p.children.exists(partJoinAfterUnnest)
     }
     assert(partJoinAfterUnnest(plan))
-    // The Γ⁺ keeps its key; the one difference is the stack's partitioning.
+    // The Γ⁺ keeps its key; the one difference is the stack's partitioning,
+    // above the Γ⁺, so its partial sum still runs before its exchange.
     val (full, pushed) = (Optimizer.full(plan), Optimizer.pushProjections(plan))
     assert(nests(full) == nests(pushed), full.pretty())
-    assert(partitions(full).map(_.keys) == Seq(Seq("__id_2", "__h_1")), full.pretty())
+    assert(partitions(full).map(p => p.keys -> p.child.isInstanceOf[NestSum]) ==
+      Seq(Seq("__id_2", "__h_1") -> true), full.pretty())
     assert(withoutPartitions(full) == pushed)
   }
 
@@ -203,6 +205,11 @@ class OptimizerSpec extends SparkSpec {
     NestBag(Project(NestBag(input("A", "a_g", "a_k", "a_x"), low, Seq("x" -> "a_x"), "xs", None),
       passed.map(c => c -> (ColRef(c): ValExpr))), top, Seq("k" -> "a_k", "xs" -> "xs"), "ks", None)
 
+  /** `Γ⊎[a_g](Γ⁺[a_g, a_k](A))`. */
+  private val nestOverSum: Plan =
+    NestBag(NestSum(input("A", "a_g", "a_k", "a_x"), Seq("a_g", "a_k"), Seq("s" -> ColRef("a_x"))),
+      Seq("a_g"), Seq("k" -> "a_k", "s" -> "s"), "ks", None)
+
   test("a stack of two nests is partitioned by the top key under the lower nest") {
     val full = Optimizer.full(twoNests(Seq("a_g"), Seq("a_g", "a_k"), Seq("a_g", "a_k", "xs")))
     assert(partitions(full).map(_.keys) == Seq(Seq("a_g")))
@@ -216,6 +223,10 @@ class OptimizerSpec extends SparkSpec {
         Seq("a_g" -> ArithV("+", ColRef("a_g"), LitV(1.0, RealTpe)), "a_k" -> ColRef("a_k"), "xs" -> ColRef("xs"))),
       Seq("a_g"), Seq("k" -> "a_k", "xs" -> "xs"), "ks", None),
     "the top key is empty" -> twoNests(Nil, Seq("a_g", "a_k"), Seq("a_g", "a_k", "xs")),
+    "only two nests stack and the lower is a Γ⁺" -> nestOverSum,
+    "a Γ⊎ over a Γ⁺ builds biomedical Step 1's output" -> Unnester.compile(BioQueries.step1),
+    "a Γ⊎ over a Γ⁺ builds biomedical Step 2's output" -> Unnester.compile(BioQueries.step2),
+    "a Γ⊎ over a Γ⁺ builds biomedical Step 4's output" -> Unnester.compile(BioQueries.step4),
     "only two nests stack and the lower runs in its join's stage" ->
       Unnester.compile(TpchQueries.flatToNested(2, wide = false))))
     test(s"no partition is placed when $what") {
@@ -230,12 +241,38 @@ class OptimizerSpec extends SparkSpec {
     assert(nests(full).size == 3)
   }
 
-  test("under full, standard nested-to-nested level 2 narrow runs two exchanges fewer") {
+  test("a stack whose lowest nest is a Γ⁺ is partitioned above that Γ⁺") {
+    // The Γ⁺'s map-side partial sum then runs before its own exchange; a
+    // Partition below it would shuffle the whole input before summing it.
+    val stacked = NestBag(Project(nestOverSum, Seq("a_g", "a_k", "ks").map(c => c -> (ColRef(c): ValExpr))),
+      Seq("a_g"), Seq("ks" -> "ks"), "kss", None)
+    val full = Optimizer.full(stacked)
+    assert(partitions(full).map(p => p.keys -> p.child.isInstanceOf[NestSum]) == Seq(Seq("a_g") -> true),
+      full.pretty())
+  }
+
+  test("no Γ⁺ of a standard benchmark or biomedical plan reads a Partition") {
+    val tpch = for (lvl <- 0 to 4; wide <- Seq(false, true); (fam, q) <- Seq(
+      "flat-to-nested" -> TpchQueries.flatToNested(lvl, wide), "nested-to-nested" -> TpchQueries.nestedToNested(lvl, wide),
+      "nested-to-flat" -> TpchQueries.nestedToFlat(lvl, wide))) yield s"$fam L$lvl wide=$wide" -> q
+    val bio = BioQueries.e2e.assignments.map(a => a.name -> a.expr) ++ BioQueries.clinical
+    def underProjects(p: Plan): Plan = p match { case Project(c, _) => underProjects(c); case _ => p }
+    def partitionUnderSum(p: Plan): Boolean = (p match {
+      case NestSum(c, _, _) => underProjects(c).isInstanceOf[Partition]
+      case _                => false
+    }) || p.children.exists(partitionUnderSum)
+    for ((name, q) <- tpch ++ bio) {
+      val plan = Optimizer.full(Unnester.compile(q))
+      assert(!partitionUnderSum(plan), s"$name\n${plan.pretty()}")
+    }
+  }
+
+  test("under full, standard nested-to-nested level 2 narrow runs one exchange fewer") {
     val q = TpchQueries.nestedToNested(2, wide = false)
     val cat = catalog + (NestedTpch.inputName(2, wide = false) -> NestedTpch.nestedInput(t, 2, wide = false))
     def exchanges(optimize: Plan => Plan) =
       TestUtil.shuffleExchanges(new SparkExecutor(cat).execute(optimize(Unnester.compile(q))))
-    assert(exchanges(Optimizer.full) == exchanges(Optimizer.pushProjections) - 2)
+    assert(exchanges(Optimizer.full) == exchanges(Optimizer.pushProjections) - 1)
   }
 
   /** Inputs with NULL top-key attributes, duplicate rows and keys, empty
@@ -276,11 +313,13 @@ class OptimizerSpec extends SparkSpec {
     val cs = gen("C", "B", "j", Sng(Tup("w" -> field("C", "w"), "ds" -> ds)))
     val flat = each("A", Sng(Tup("g" -> field("A", "g"), "bs" -> gen("B", "A", "k", Sng(Tup(
       "h" -> field("B", "h"), "cs" -> cs))))))
-    // for a in A yield (g, bs := sumBy_j^s(for e in a.bs, c in C if e.j = c.j yield (j, s := e.v * c.w)))
-    val row = Sng(Tup("j" -> field("E", "j"), "s" -> Arith("*", field("E", "v"), field("C", "w"))))
-    val summed = each("A", Sng(Tup("g" -> field("A", "g"),
-      "bs" -> SumByE(each("E", gen("C", "E", "j", row), Some(field("A", "bs"))), Seq("j"), Seq("s")))))
-    Seq("a three-level Γ⊎ stack over joins" -> flat, "a Γ⊎ over a Γ⁺ after an outer unnest" -> summed)
+    // for a in A yield (g, es := for e in a.bs yield (v, cs :=
+    //   sumBy_j^s(for c in C if e.j = c.j yield (j := c.j, s := e.v * c.w))))
+    val row = Sng(Tup("j" -> field("C", "j"), "s" -> Arith("*", field("E", "v"), field("C", "w"))))
+    val es = each("E", Sng(Tup("v" -> field("E", "v"), "cs" -> SumByE(gen("C", "E", "j", row), Seq("j"), Seq("s")))),
+      Some(field("A", "bs")))
+    val summed = each("A", Sng(Tup("g" -> field("A", "g"), "es" -> es)))
+    Seq("a three-level Γ⊎ stack over joins" -> flat, "a Γ⊎ stack over a Γ⁺ after an outer unnest" -> summed)
   }
 
   for ((name, q) <- stackQueries)
