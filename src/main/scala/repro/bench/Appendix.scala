@@ -38,13 +38,12 @@ object AppD {
   */
 object E4 {
 
-  def run(spark: SparkSession, sf: Double, levels: Seq[Int] = Seq(0, 1, 2),
-          widths: Seq[Boolean] = Seq(false, true)): Seq[Result] = {
+  def run(spark: SparkSession, sf: Double): Seq[Result] = {
     val out = Seq.newBuilder[Result]
     val t = NestedTpch.tables(spark, sf).map(materialize)
     val flatCat = NestedTpch.catalog(t)
 
-    for (wide <- widths; level <- levels) {
+    for (wide <- Seq(false, true); level <- 0 to 2) {
       val w = if (wide) "wide" else "narrow"
       for (opt <- 0 to 2) {
         val strat = Seq("Std(no opt)", "Std(proj)", "Std(full)")(opt)
@@ -72,12 +71,12 @@ object E4 {
 /** App. E.1 — RDD vs Dataset executors on identical plans. */
 object E1 {
 
-  def run(spark: SparkSession, sf: Double, levels: Seq[Int] = Seq(0, 1, 2)): Seq[Result] = {
+  def run(spark: SparkSession, sf: Double): Seq[Result] = {
     val out = Seq.newBuilder[Result]
     val t = NestedTpch.tables(spark, sf).map(materialize)
     val flatCat = NestedTpch.catalog(t)
 
-    for (level <- levels) {
+    for (level <- 0 to 2) {
       for ((family, mkQ) <- Seq(
         "flat-to-nested" -> ((l: Int) => TpchQueries.flatToNested(l, wide = false)),
         "nested-to-nested" -> ((l: Int) => TpchQueries.nestedToNested(l, wide = false)))) {

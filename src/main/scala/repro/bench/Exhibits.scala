@@ -21,11 +21,11 @@ object Exhibits {
 
   val all: Seq[Exhibit] = Seq(
     Exhibit("T1", "Fig. 7 flat-to-nested (narrow+wide, levels 0-4)",
-      Fig7.run(_, _, families = Seq("flat-to-nested"))),
+      Fig7.run(_, _, "flat-to-nested")),
     Exhibit("T2", "Fig. 7 nested-to-nested (narrow+wide, levels 0-4)",
-      Fig7.run(_, _, families = Seq("nested-to-nested"))),
+      Fig7.run(_, _, "nested-to-nested")),
     Exhibit("T3", "Fig. 7 nested-to-flat (narrow+wide, levels 0-4)",
-      Fig7.run(_, _, families = Seq("nested-to-flat"))),
+      Fig7.run(_, _, "nested-to-flat")),
     Exhibit("T4", "Fig. 8 skew-handling (nested-to-nested narrow L2, skew 0-4)",
       Fig8.run(_, _)),
     Exhibit("T5", "Fig. 9 biomedical E2E pipeline (Steps 1-5)", Fig9.run(_, _)),

@@ -16,7 +16,7 @@ object Fig12 {
       val bio = BioData.tables(spark, sf)
       val cat = BioData.catalog(bio).map { case (k, v) => k -> materialize(v) }
       for ((qn, q) <- BioQueries.clinical)
-        out ++= measureRoutes(spark, "Fig12", s"$qn $szName", q, cat)
+        out ++= measureRoutes(spark, "Fig12", s"$qn $szName", query(q), cat)
       cat.values.foreach(_.unpersist())
     }
     out.result()

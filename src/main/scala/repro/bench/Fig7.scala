@@ -17,15 +17,12 @@ import Harness._
   */
 object Fig7 {
 
-  def run(spark: SparkSession, sf: Double,
-          families: Seq[String] = Seq("flat-to-nested", "nested-to-nested", "nested-to-flat"),
-          levels: Seq[Int] = 0 to 4,
-          widths: Seq[Boolean] = Seq(false, true)): Seq[Result] = {
+  def run(spark: SparkSession, sf: Double, family: String): Seq[Result] = {
     val t = NestedTpch.tables(spark, sf).map(materialize)
     val flatCat = NestedTpch.catalog(t)
     val out = Seq.newBuilder[Result]
 
-    for (family <- families; wide <- widths; level <- levels) {
+    for (wide <- Seq(false, true); level <- 0 to 4) {
       val cfg = s"$family L$level ${if (wide) "wide" else "narrow"}"
       val tableName = "Fig7"
 
@@ -35,7 +32,7 @@ object Fig7 {
             force(SparkSQLBaseline.flatToNested(spark, t, level, wide))
           }
           out ++= measureRoutes(spark, tableName, cfg,
-            TpchQueries.flatToNested(level, wide), flatCat)
+            query(TpchQueries.flatToNested(level, wide)), flatCat)
 
         case "nested-to-nested" | "nested-to-flat" =>
           // Wide materialized input for both query widths (paper setup).
@@ -62,7 +59,7 @@ object Fig7 {
             else SparkSQLBaseline.nestedToFlat(spark, nested, t.part, level, wide)
             force(df)
           }
-          out ++= measureRoutes(spark, tableName, cfg, q, cat, unshred = toNested)
+          out ++= measureRoutes(spark, tableName, cfg, query(q), cat, unshred = toNested)
           if (level > 0) { nested.unpersist(); () }
           shreddedWide.values.foreach(_.unpersist())
       }

@@ -5,7 +5,6 @@ import repro.baseline.SparkSQLBaseline
 import repro.core.plan.Optimizer
 import repro.data.NestedTpch
 import repro.queries.TpchQueries
-import repro.skew.{SkewConfig, SkewOps}
 import Harness._
 
 /** Fig. 8 / App. E.6 / App. E.7 — skew-handling on the narrow
@@ -29,7 +28,6 @@ object Fig8 {
   def run(spark: SparkSession, sf: Double, skews: Seq[Int] = 0 to 4,
           pushAggForUnaware: Boolean = true, table: String = "Fig8"): Seq[Result] = {
     val out = Seq.newBuilder[Result]
-    val skewCfg = SkewConfig()
     val level = 2
 
     for (skew <- skews) {
@@ -41,7 +39,7 @@ object Fig8 {
         .map { case (k, v) => k -> materialize(v) }
       val inName = NestedTpch.inputName(level, wide = false)
       val cat = NestedTpch.catalog(t) + (inName -> nested) ++ shredded
-      val q = TpchQueries.nestedToNested(level, wide = false)
+      val q = query(TpchQueries.nestedToNested(level, wide = false))
       val optUnaware = if (pushAggForUnaware) Optimizer.full else Optimizer.withoutAggPushing
 
       out += measure(spark, table, cfg, "SparkSQL") {
@@ -50,7 +48,7 @@ object Fig8 {
       out ++= measureRoutes(spark, table, cfg, q, cat, optUnaware, unshred = false)
       // Skew-aware: no aggregation pushing, the light/heavy split instead.
       out ++= measureRoutes(spark, table, cfg, q, cat, Optimizer.pushProjections,
-        SkewOps.skewJoin(skewCfg), suffix = "_skew", unshred = false)
+        skew = true, unshred = false)
 
       nested.unpersist()
       shredded.values.foreach(_.unpersist())

@@ -7,10 +7,12 @@ import scala.concurrent.ExecutionContext.Implicits.global
 import scala.util.{Failure, Success, Try}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.storage.StorageLevel
-import repro.core.NRC.Expr
+import repro.core.NRC
+import repro.core.NRC.{Assignment, Expr, Program}
 import repro.core.exec.{Routes, SparkExecutor}
 import repro.core.plan.{Optimizer, Plan}
 import repro.shred.{Shredder, Unshredder}
+import repro.skew.SkewOps
 
 /** Benchmark harness: wall-clock + shuffle-write bytes per run (billed by
   * job tag through `Meter`), with a cancel-on-timeout guard that
@@ -70,40 +72,59 @@ object Harness {
     }
   }
 
-  /** The route sequence of every §6 exhibit: Standard, then Shred with every
-    * dictionary materialized, then (if `unshred`) Unshred of Shred's output.
-    * Strategy names end in `suffix`. The Shred outputs this call cached are
-    * released before it returns, also those of a run that failed part-way.
-    * An output whose plan was cached already (T4's top bag passes its
-    * shredded input through) shares that cache entry and is not released:
-    * `unpersist` would evict the input too.
+  /** The route sequence of every §6 exhibit over program `p`, one row per
+    * assignment: Standard, then Shred with every dictionary materialized,
+    * then (if `unshred`) Unshred of Shred's outputs. Each step reads the
+    * earlier outputs of its own route, so a step that reads a failed step's
+    * output fails too. Assignment i (from 1) of a program of several reports
+    * config `config + i`; a program of one reports `config`. `skew` runs the
+    * light/heavy skew join, and its strategy names end in `_skew`.
+    *
+    * Standard caches an output only if a later assignment reads it, and
+    * forces the others. Everything this call cached is released before it
+    * returns, also after a run that failed part-way. An output whose plan
+    * was cached already (T4's top bag passes its shredded input through)
+    * shares that cache entry and is not released: `unpersist` would evict
+    * the input too.
     */
-  def measureRoutes(spark: SparkSession, table: String, config: String, q: Expr,
+  def measureRoutes(spark: SparkSession, table: String, config: String, p: Program,
                     cat: Map[String, DataFrame],
                     optimize: Plan => Plan = Optimizer.full,
-                    joinImpl: SparkExecutor.JoinImpl = SparkExecutor.defaultJoin,
-                    suffix: String = "", unshred: Boolean = true): Seq[Result] = {
-    val std = measure(spark, table, config, "Standard" + suffix) {
-      force(Routes.standard(q, cat, optimize, joinImpl))
+                    skew: Boolean = false, unshred: Boolean = true): Seq[Result] = {
+    val joinImpl = if (skew) SkewOps.skewJoin() else SparkExecutor.defaultJoin
+    val read = p.assignments.flatMap(a => NRC.inputs(a.expr)).toSet
+    val cached = Seq.newBuilder[DataFrame]
+    def keep(df: DataFrame): DataFrame = {
+      val shared = df.storageLevel != StorageLevel.NONE
+      val m = materialize(df)
+      if (!shared) cached += m
+      m
     }
-    val sq = Shredder.shred("OUT", q)
-    val dicts = Seq.newBuilder[DataFrame]
-    var shredCat = cat
-    val shred = measure(spark, table, config, "Shred" + suffix) {
-      shredCat = Routes.run(sq.program, cat, optimize, joinImpl,
-        (_, df) => {
-          val cached = df.storageLevel != StorageLevel.NONE
-          val m = materialize(df)
-          if (!cached) dicts += m
-          m
-        })
+    // One row per assignment; `step` returns the catalog the next step reads.
+    def steps(strategy: String)(step: (Assignment, Map[String, DataFrame]) => Map[String, DataFrame]) = {
+      var c = cat
+      val rows = p.assignments.zipWithIndex.map { case (a, i) =>
+        val cfg = if (p.assignments.size == 1) config else s"$config${i + 1}"
+        measure(spark, table, cfg, strategy + (if (skew) "_skew" else "")) { c = step(a, c) }
+      }
+      (rows, c)
     }
-    val unsh = if (unshred) Seq(measure(spark, table, config, "Unshred" + suffix) {
-      force(Unshredder.unshred("OUT", sq.outTpe, shredCat))
-    }) else Nil
-    dicts.result().foreach(_.unpersist())
-    std +: shred +: unsh
+    val (std, _) = steps("Standard") { (a, c) =>
+      val df = Routes.standard(a.expr, c, optimize, joinImpl)
+      if (read(a.name)) c + (a.name -> keep(df)) else { force(df); c }
+    }
+    val (shred, shredCat) = steps("Shred") { (a, c) =>
+      Routes.run(Shredder.shred(a.name, a.expr), c, optimize, joinImpl, (_, df) => keep(df))
+    }
+    val unsh = if (unshred) steps("Unshred") { (a, c) =>
+      force(Unshredder.unshred(a.name, a.expr.asBag, shredCat)); c
+    }._1 else Nil
+    cached.result().foreach(_.unpersist())
+    std ++ shred ++ unsh
   }
+
+  /** `q` as a program of one assignment, named `OUT`. */
+  def query(q: Expr): Program = Program(Seq(Assignment("OUT", q)))
 
   /** Force a DataFrame fully (all columns, no pruning). */
   def force(df: DataFrame): Unit =

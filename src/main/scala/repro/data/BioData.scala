@@ -6,7 +6,7 @@ import repro.core._
 import repro.shred.{ShredTypes, Unshredder}
 
 /** Synthetic substitute for the biomedical (ICGC) benchmark inputs of
-  * App. C.1 — same schemas and nesting, deterministic in (sf, seed).
+  * App. C.1 — same schemas and nesting, deterministic in sf.
   *
   * Key properties preserved from the real data (DESIGN.md substitutions):
   *   - *sharing*: VEP annotations (candidate genes + consequences) are keyed
@@ -54,13 +54,8 @@ object BioData {
 
   private def n(base: Long, sf: Double): Long = math.max(2L, (base * sf).toLong)
 
-  /** Build all biomedical inputs at a scale factor.
-    *
-    * @param candSkew Zipf-ish exponent for candidate fan-out per mutation:
-    *                 0 = uniform small; larger = few mutations with very
-    *                 many candidate genes (inner-collection skew).
-    */
-  def tables(spark: SparkSession, sf: Double, candSkew: Double = 1.0, seed: Long = 11): BioTables = {
+  /** Build all biomedical inputs at a scale factor. */
+  def tables(spark: SparkSession, sf: Double): BioTables = {
     import spark.implicits._
     val nSamples = n(500, sf)
     val nMut     = n(10000, sf)
@@ -72,14 +67,13 @@ object BioData {
       concat(lit("s"), $"id")                              as "sample",
       concat(lit("a"), $"id", lit("_"), ($"id" % 2))       as "aliquot")
 
-    // VEP-like annotations: per-mutation candidate genes with a skewed count.
+    // VEP-like annotations: per-mutation candidate genes with a skewed
+    // count, so a few mutations have very many candidate genes.
     val maxCand = 12
     val mutations = spark.range(nMut).select(
       concat(lit("m"), $"id") as "mutationId",
       $"id"                   as "mid",
-      (typedLit(1) + when(lit(candSkew) <= 0, (rand(seed) * 3).cast("int"))
-        .otherwise((pow(rand(seed), lit(math.max(candSkew, 0.2) * 3)) * maxCand).cast("int")))
-        as "ncand")
+      (typedLit(1) + (pow(rand(11), lit(3.0)) * maxCand).cast("int")) as "ncand")
     val candidates = mutations
       .select($"mutationId", $"mid", explode(sequence(lit(1), $"ncand")) as "ci")
       .select(
@@ -98,7 +92,7 @@ object BioData {
     // Occurrences: samples draw mutations with skewed popularity (sharing).
     val occFlat = spark.range(nSamples * occPerSample).select(
       concat(lit("s"), ($"id" / occPerSample).cast("long"))            as "sample",
-      concat(lit("m"), (pow(rand(seed + 1), 2.0) * nMut).cast("long")) as "mutationId")
+      concat(lit("m"), (pow(rand(12), 2.0) * nMut).cast("long"))       as "mutationId")
       .distinct()
       .withColumn("contig", concat(lit("chr"), pmod(xxhash64($"mutationId"), lit(22))))
       .withColumn("start", pmod(xxhash64($"mutationId", lit(1)), lit(1000000)))

@@ -41,26 +41,17 @@ object Shredder {
 
   final case class ShredError(msg: String) extends RuntimeException(msg)
 
-  /** The shredded compilation of one query: flat assignments in execution
-    * order (top bag first, dictionaries parent-before-child), plus the
-    * original output type needed for unshredding.
+  /** Shred query `q` into flat assignments in execution order (top bag
+    * first, dictionaries parent-before-child), named by the `<name>__F` /
+    * `<name>__D_<path>` convention of [[ShredTypes]]. `Unshredder.unshred`
+    * of `name` and `q.asBag` reassembles the nested output.
     */
-  final case class ShreddedQuery(name: String, outTpe: BagTpe,
-                                 assignments: Seq[Assignment]) {
-    def program: Program = Program(assignments)
-    def topAssignment: Assignment = assignments.head
-  }
-
-  /** Shred query `q`, producing assignments named by the `<name>__F` /
-    * `<name>__D_<path>` convention of [[ShredTypes]].
-    */
-  def shred(name: String, q: Expr): ShreddedQuery = {
-    val outTpe = q.asBag
+  def shred(name: String, q: Expr): Program = {
     val inputTpes = collectInputs(q)
     val flat = phase1(inlineLets(q), Map.empty, Map.empty, inputTpes)
     val buf = Vector.newBuilder[Assignment]
     emitLevels(name, topName(name), flat, Seq.empty, buf)
-    ShreddedQuery(name, outTpe, buf.result())
+    Program(buf.result())
   }
 
   // ------------------------------------------------------------- phase 1

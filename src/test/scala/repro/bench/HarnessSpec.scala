@@ -6,9 +6,8 @@ import org.apache.spark.JobExecutionStatus
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{SparkSpec, TestData}
 import repro.core.plan.Optimizer
-import repro.data.NestedTpch
-import repro.queries.TpchQueries
-import repro.skew.SkewOps
+import repro.data.{BioData, NestedTpch}
+import repro.queries.{BioQueries, TpchQueries}
 
 /** The benchmark harness bills each measured run's Spark jobs to that run,
   * measures the route sequence of every exhibit, and names the exhibits.
@@ -99,10 +98,11 @@ class HarnessSpec extends SparkSpec {
     val cat = NestedTpch.catalog(TestData.tables(spark))
     val q = TpchQueries.flatToNested(2, wide = false)
     val persisted = spark.sparkContext.getPersistentRDDs.size
-    val rows = Harness.measureRoutes(spark, "T", "L2", q, cat)
-    assert(rows.map(_.strategy) == Seq("Standard", "Shred", "Unshred") && rows.forall(_.ok), rows)
-    val skew = Harness.measureRoutes(spark, "T", "L2", q, cat, Optimizer.pushProjections,
-      SkewOps.skewJoin(), suffix = "_skew", unshred = false)
+    val rows = Harness.measureRoutes(spark, "T", "L2", Harness.query(q), cat)
+    assert(rows.map(r => (r.config, r.strategy)) == Seq("Standard", "Shred", "Unshred").map("L2" -> _)
+      && rows.forall(_.ok), rows)
+    val skew = Harness.measureRoutes(spark, "T", "L2", Harness.query(q), cat, Optimizer.pushProjections,
+      skew = true, unshred = false)
     assert(skew.map(_.strategy) == Seq("Standard_skew", "Shred_skew") && skew.forall(_.ok), skew)
     assert(spark.sparkContext.getPersistentRDDs.size == persisted)
   }
@@ -115,12 +115,33 @@ class HarnessSpec extends SparkSpec {
       .map { case (k, v) => k -> Harness.materialize(v) }
     val cat = NestedTpch.catalog(t) + (NestedTpch.inputName(2, wide = false) -> nested) ++ shredded
     try {
-      val rows = Harness.measureRoutes(spark, "T", "L2", TpchQueries.nestedToNested(2, wide = false),
-        cat, unshred = false)
+      val rows = Harness.measureRoutes(spark, "T", "L2",
+        Harness.query(TpchQueries.nestedToNested(2, wide = false)), cat, unshred = false)
       assert(rows.forall(_.ok), rows)
       val evicted = shredded.collect { case (k, v) if !v.storageLevel.useMemory => k }
       assert(evicted.isEmpty, s"evicted inputs: $evicted")
     } finally (shredded.values.toSeq :+ nested).foreach(_.unpersist())
+  }
+
+  test("measureRoutes measures a program step by step, and a step after a failed one fails") {
+    // BioRouteSpec's scale; each step reads the one before it (Step 3 reads
+    // Steps 1 and 2).
+    val cat = BioData.catalog(BioData.tables(spark, sf = 0.003))
+      .map { case (k, v) => k -> Harness.materialize(v) }
+    try {
+      val persisted = spark.sparkContext.getPersistentRDDs.size
+      val steps = (1 to 5).map(i => s"Step$i")
+      val rows = Harness.measureRoutes(spark, "T5", "Step", BioQueries.e2e, cat, unshred = false)
+      assert(rows.map(r => (r.config, r.strategy)) ==
+        steps.map(_ -> "Standard") ++ steps.map(_ -> "Shred") && rows.forall(_.ok), rows)
+      assert(spark.sparkContext.getPersistentRDDs.size == persisted)
+      // Only Step 1 reads CopyNumber: without it, Step 1 has no output.
+      val failed = Harness.measureRoutes(spark, "T5", "Step", BioQueries.e2e, cat - "CopyNumber",
+        unshred = false)
+      assert(failed.map(r => (r.config, r.strategy)) == rows.map(r => (r.config, r.strategy))
+        && failed.forall(!_.ok), failed)
+      assert(spark.sparkContext.getPersistentRDDs.size == persisted)
+    } finally cat.values.foreach(_.unpersist())
   }
 
   test("exhibit ids are unique, and an unknown id fails listing the valid ones") {

@@ -86,7 +86,7 @@ class OptimizerSpec extends SparkSpec {
 
   test("full optimization gives the same plan on every call") {
     val sq = Shredder.shred("OUT", TpchQueries.nestedToFlat(2, wide = false))
-    val plan = Unnester.compile(sq.topAssignment.expr)
+    val plan = Unnester.compile(sq.assignments.head.expr)
     val opt = Optimizer.full(plan)
     assert(opt.pretty().contains("__pa_1"))
     assert(Optimizer.full(plan) == opt)
@@ -300,26 +300,35 @@ class OptimizerSpec extends SparkSpec {
         (Some(7L), None)).toDF("m", "u"))
   }
 
-  private lazy val stackQueries: Seq[(String, Expr)] = {
+  private lazy val stackGens = {
     val elem = TupleTpe("j" -> IntTpe, "v" -> RealTpe)
-    val g = new Gens(Map(
+    new Gens(Map(
       "A" -> TupleTpe("g" -> StringTpe, "k" -> IntTpe, "bs" -> BagTpe(elem)), "E" -> elem,
       "B" -> TupleTpe("k" -> IntTpe, "h" -> StringTpe, "j" -> IntTpe),
       "C" -> TupleTpe("j" -> IntTpe, "m" -> IntTpe, "w" -> RealTpe), "D" -> TupleTpe("m" -> IntTpe, "u" -> StringTpe)))
-    import g._
+  }
+
+  /** `for a in A yield (g, es := for e in a.bs yield (v, cs :=
+    * sumBy_key^s(for c in C if e.j = c.j yield (key := c.key, s := e.v * c.w))))`.
+    */
+  private def summedStack(key: String): Expr = {
+    import stackGens._
+    val row = Sng(Tup(key -> field("C", key), "s" -> Arith("*", field("E", "v"), field("C", "w"))))
+    val es = each("E", Sng(Tup("v" -> field("E", "v"), "cs" -> SumByE(gen("C", "E", "j", row), Seq(key), Seq("s")))),
+      Some(field("A", "bs")))
+    each("A", Sng(Tup("g" -> field("A", "g"), "es" -> es)))
+  }
+
+  private lazy val stackQueries: Seq[(String, Expr)] = {
+    import stackGens._
     // for a in A yield (g, bs := for b in B if a.k = b.k yield (h, cs := for c in C if b.j = c.j
     //   yield (w, ds := for d in D if c.m = d.m yield (u))))
     val ds = gen("D", "C", "m", Sng(Tup("u" -> field("D", "u"))))
     val cs = gen("C", "B", "j", Sng(Tup("w" -> field("C", "w"), "ds" -> ds)))
     val flat = each("A", Sng(Tup("g" -> field("A", "g"), "bs" -> gen("B", "A", "k", Sng(Tup(
       "h" -> field("B", "h"), "cs" -> cs))))))
-    // for a in A yield (g, es := for e in a.bs yield (v, cs :=
-    //   sumBy_j^s(for c in C if e.j = c.j yield (j := c.j, s := e.v * c.w))))
-    val row = Sng(Tup("j" -> field("C", "j"), "s" -> Arith("*", field("E", "v"), field("C", "w"))))
-    val es = each("E", Sng(Tup("v" -> field("E", "v"), "cs" -> SumByE(gen("C", "E", "j", row), Seq("j"), Seq("s")))),
-      Some(field("A", "bs")))
-    val summed = each("A", Sng(Tup("g" -> field("A", "g"), "es" -> es)))
-    Seq("a three-level Γ⊎ stack over joins" -> flat, "a Γ⊎ stack over a Γ⁺ after an outer unnest" -> summed)
+    Seq("a three-level Γ⊎ stack over joins" -> flat,
+      "a Γ⊎ stack over a Γ⁺ after an outer unnest" -> summedStack("j"))
   }
 
   for ((name, q) <- stackQueries)
@@ -328,6 +337,19 @@ class OptimizerSpec extends SparkSpec {
       assert(partitions(full).size == 1, full.pretty())
       assertLevelsMatchLocalEval(q, stackCatalog)
     }
+
+  // A nested sumBy marks a group present by its first key being non-NULL
+  // (`Unnester.compileBag`), so C's row (j = 20, m = NULL, w = 5.0) is
+  // dropped like outer-join padding: LocalEval keeps `<m = NULL, s = 20.0>`
+  // in `cs`. `pendingUntilFixed` reports the test pending while the defect
+  // stands and fails it once the defect is fixed; then drop the wrapper.
+  test("a nested sumBy keeps a group whose first key is NULL") {
+    pendingUntilFixed {
+      val q = summedStack("m")
+      TestUtil.assertBagEq(new SparkExecutor(stackCatalog).execute(Optimizer.level(0)(Unnester.compile(q))),
+        TestUtil.localEval(q, TestUtil.toLocal(stackCatalog)))
+    }
+  }
 
   // ------------------------------------------------ bottom-up label chains
 

@@ -73,7 +73,7 @@ class BioRouteSpec extends SparkSpec {
     }
     test(s"$name: shredded route matches the standard route") {
       val sq = Shredder.shred("OUT", q)
-      val nested = Unshredder.unshred("OUT", sq.outTpe, Routes.run(sq.program, catalog))
+      val nested = Unshredder.unshred("OUT", q.asBag, Routes.run(sq, catalog))
       TestUtil.assertBagEq(nested, Routes.standard(q, catalog))
     }
   }

@@ -3,6 +3,7 @@ package repro.shred
 import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestData, TestUtil}
 import repro.core.SparkValues
+import repro.core.NRC.{Expr, Program}
 import repro.core.plan.{Join, NestSum, Optimizer, Plan, Project, Select, Source, Unnester}
 import repro.core.exec.{Routes, SparkExecutor}
 import repro.data.NestedTpch
@@ -18,12 +19,13 @@ class ShredRouteSpec extends SparkSpec {
   private lazy val catalog = NestedTpch.catalog(t)
   private lazy val local   = TestUtil.toLocal(catalog)
 
-  /** The shredded route on unoptimized plans: every assignment of `sq`. */
-  private def shredRoute(sq: Shredder.ShreddedQuery, cat: Map[String, DataFrame]) =
-    Routes.run(sq.program, cat, Optimizer.none)
+  /** The shredded route on unoptimized plans: every assignment of `p`. */
+  private def shredRoute(p: Program, cat: Map[String, DataFrame]) =
+    Routes.run(p, cat, Optimizer.none)
 
-  private def shredUnshred(sq: Shredder.ShreddedQuery, cat: Map[String, DataFrame]) =
-    Unshredder.unshred(sq.name, sq.outTpe, shredRoute(sq, cat))
+  /** `q` shredded as `OUT`, run on unoptimized plans and unshredded. */
+  private def shredUnshred(q: Expr, cat: Map[String, DataFrame]) =
+    Unshredder.unshred("OUT", q.asBag, shredRoute(Shredder.shred("OUT", q), cat))
 
   private def standard(q: repro.core.NRC.Expr, cat: Map[String, DataFrame]) =
     new SparkExecutor(cat).execute(Unnester.compile(q))
@@ -34,8 +36,7 @@ class ShredRouteSpec extends SparkSpec {
     val tag = s"level $level ${if (wide) "wide" else "narrow"}"
     test(s"flat-to-nested $tag: shred+unshred matches LocalEval") {
       val q  = TpchQueries.flatToNested(level, wide)
-      val sq = Shredder.shred("OUT", q)
-      val df = shredUnshred(sq, catalog)
+      val df = shredUnshred(q, catalog)
       TestUtil.assertBagEq(df, TestUtil.localEval(q, local), tag)
     }
   }
@@ -49,7 +50,7 @@ class ShredRouteSpec extends SparkSpec {
       val name = NestedTpch.inputName(level, wide)
       val nested = NestedTpch.nestedInput(t, level, wide)
       val shredded = NestedTpch.shreddedInput(t, level, wide)
-      val df = shredUnshred(Shredder.shred("OUT", q), catalog ++ shredded)
+      val df = shredUnshred(q, catalog ++ shredded)
       TestUtil.assertBagEq(df, standard(q, catalog + (name -> nested)))
     }
   }
@@ -59,7 +60,7 @@ class ShredRouteSpec extends SparkSpec {
     val sq = Shredder.shred("OUT", q)
     val out = shredRoute(sq, catalog ++ NestedTpch.shreddedInput(t, 2, wide = false))
     // Lowest dictionary: localized join+aggregate over (label, p_name).
-    val loc = TestUtil.localEval(sq.program("OUT__D_corders_oparts").expr,
+    val loc = TestUtil.localEval(sq("OUT__D_corders_oparts").expr,
       TestUtil.toLocal(catalog ++ NestedTpch.shreddedInput(t, 2, wide = false)))
     TestUtil.assertBagEq(out("OUT__D_corders_oparts"), loc)
   }
@@ -76,7 +77,7 @@ class ShredRouteSpec extends SparkSpec {
       val sq = Shredder.shred("OUT", q)
       val expected = SparkValues.toBag(standard(q, catalog + (name -> nested)))
       for (lvl <- 0 to 2) {
-        val out = Routes.run(sq.program, catalog ++ shredded, Optimizer.level(lvl))(sq.topAssignment.name)
+        val out = Routes.run(sq, catalog ++ shredded, Optimizer.level(lvl))(sq.assignments.head.name)
         TestUtil.assertBagEq(out, expected, s"$tag, optimizer level $lvl")
       }
     }
@@ -95,7 +96,7 @@ class ShredRouteSpec extends SparkSpec {
     for (level <- 1 to 4; wide <- Seq(false, true)) {
       val tag = s"level $level ${if (wide) "wide" else "narrow"}"
       val sq = Shredder.shred("OUT", TpchQueries.nestedToFlat(level, wide))
-      val plan = Optimizer.full(Unnester.compile(sq.topAssignment.expr))
+      val plan = Optimizer.full(Unnester.compile(sq.assignments.head.expr))
       val (labelJoins, partJoins) = joins(plan).partition(_.rightKeys.forall(_.endsWith("__label")))
       assert(labelJoins.size == level && partJoins.size == 1, s"$tag\n${plan.pretty()}")
       labelJoins.foreach { j =>
@@ -120,7 +121,7 @@ class ShredRouteSpec extends SparkSpec {
 
   test("under full, the Part join reads the un-aggregated lowest dictionary") {
     for (level <- 1 to 4; wide <- Seq(false, true)) {
-      val n2f = Shredder.shred("OUT", TpchQueries.nestedToFlat(level, wide)).topAssignment
+      val n2f = Shredder.shred("OUT", TpchQueries.nestedToFlat(level, wide)).assignments.head
       val n2n = Shredder.shred("OUT", TpchQueries.nestedToNested(level, wide)).assignments.last
       for (a <- Seq(n2f, n2n)) {
         val plan = Optimizer.full(Unnester.compile(a.expr))
@@ -140,7 +141,7 @@ class ShredRouteSpec extends SparkSpec {
     def exchanges(e: repro.core.NRC.Expr, cat: Map[String, DataFrame]) =
       TestUtil.shuffleExchanges(new SparkExecutor(cat).execute(Optimizer.full(Unnester.compile(e))))
     val nested = catalog + (NestedTpch.inputName(2, wide = false) -> NestedTpch.nestedInput(t, 2, wide = false))
-    assert(exchanges(sq.topAssignment.expr, catalog ++ NestedTpch.shreddedInput(t, 2, wide = false)) == 7)
+    assert(exchanges(sq.assignments.head.expr, catalog ++ NestedTpch.shreddedInput(t, 2, wide = false)) == 7)
     assert(exchanges(q, nested) == 7)
   }
 
@@ -178,8 +179,7 @@ class ShredRouteSpec extends SparkSpec {
     val cat = Map(
       "X" -> Seq(1L, 2L, 2L).toDF("k"),
       "Y" -> Seq(10L, 20L).toDF("v"))
-    val sq = Shredder.shred("OUT", q)
-    val df = shredUnshred(sq, cat)
+    val df = shredUnshred(q, cat)
     TestUtil.assertBagEq(df, TestUtil.localEval(q, TestUtil.toLocal(cat)))
   }
 
@@ -208,7 +208,7 @@ class ShredRouteSpec extends SparkSpec {
     for ((attrs, x) <- inputs) {
       val q = query(attrs)
       val cat = Map("X" -> x, "Y" -> y)
-      val df = shredUnshred(Shredder.shred("OUT", q), cat)
+      val df = shredUnshred(q, cat)
       val tag = s"captured ${attrs.mkString(", ")}"
       TestUtil.assertBagEq(df, TestUtil.localEval(q, TestUtil.toLocal(cat)), tag)
       TestUtil.assertBagEq(df, standard(q, cat))

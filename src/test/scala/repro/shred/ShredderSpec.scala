@@ -36,7 +36,7 @@ class ShredderSpec extends AnyFunSuite {
 
   test("flat-to-nested dictionaries are label-extended projections") {
     val sq = Shredder.shred("OUT", TpchQueries.flatToNested(2, wide = false))
-    val corders = sq.program("OUT__D_corders").expr
+    val corders = sq("OUT__D_corders").expr
     assert(inputs(corders) == Set("Orders"))
     val head = corders.asBag.elem
     assert(head.fields.keys.toSeq == Seq("label", "o_orderdate", "oparts"))
@@ -47,12 +47,12 @@ class ShredderSpec extends AnyFunSuite {
   test("nested-to-nested level 2: input labels are shared with the output") {
     val sq = Shredder.shred("OUT", TpchQueries.nestedToNested(2, wide = false))
     // The top bag is a projection of the input top bag: corders label reused.
-    val top = sq.topAssignment.expr
+    val top = sq.assignments.head.expr
     assert(inputs(top) == Set("COP2n__F"))
     // The corders dictionary reads only the input corders dictionary.
-    assert(inputs(sq.program("OUT__D_corders").expr) == Set("COP2n__D_corders"))
+    assert(inputs(sq("OUT__D_corders").expr) == Set("COP2n__D_corders"))
     // The lowest level is the localized join+aggregate: input oparts dict + Part.
-    val bottom = sq.program("OUT__D_corders_oparts").expr
+    val bottom = sq("OUT__D_corders_oparts").expr
     assert(inputs(bottom) == Set("COP2n__D_corders_oparts", "Part"))
     assert(bottom.isInstanceOf[SumByE])
     val SumByE(_, keys, vals) = bottom: @unchecked
@@ -62,7 +62,7 @@ class ShredderSpec extends AnyFunSuite {
   test("nested-to-flat level 2 shreds into a single flat assignment") {
     val sq = Shredder.shred("OUT", TpchQueries.nestedToFlat(2, wide = false))
     assert(sq.assignments.map(_.name) == Seq("OUT__F"))
-    assert(inputs(sq.topAssignment.expr) ==
+    assert(inputs(sq.assignments.head.expr) ==
       Set("COP2n__F", "COP2n__D_corders", "COP2n__D_corders_oparts", "Part"))
   }
 
@@ -78,7 +78,7 @@ class ShredderSpec extends AnyFunSuite {
     val q = TpchQueries.nestedToFlat(0, wide = false)
     val sq = Shredder.shred("OUT", q)
     assert(sq.assignments.size == 1)
-    assert(sq.topAssignment.expr == q) // no nested input, nothing to rewrite
+    assert(sq.assignments.head.expr == q) // no nested input, nothing to rewrite
   }
 
   test("baseline materialization path: label domain emitted when no equality matches") {
@@ -94,8 +94,8 @@ class ShredderSpec extends AnyFunSuite {
     val sq = Shredder.shred("OUT", q)
     assert(sq.assignments.map(_.name) == Seq("OUT__F", "OUT__D_b__dom", "OUT__D_b"))
     // The domain dedups the captured x.k over the parent's generator, X.
-    assert(inputs(sq.program("OUT__D_b__dom").expr) == Set("X"))
-    assert(inputs(sq.program("OUT__D_b").expr) == Set("OUT__D_b__dom", "Y"))
+    assert(inputs(sq("OUT__D_b__dom").expr) == Set("X"))
+    assert(inputs(sq("OUT__D_b").expr) == Set("OUT__D_b__dom", "Y"))
   }
 
   test("uncorrelated nested bag is rejected with a clear error") {

@@ -166,9 +166,9 @@ class SkewOpsSpec extends SparkSpec {
     val q = TpchQueries.nestedToFlat(2, wide = false)
     val sq = repro.shred.Shredder.shred("OUT", q)
     val shredded = NestedTpch.shreddedInput(t, 2, wide = false)
-    val base = Routes.run(sq.program, catalog ++ shredded, Optimizer.none)(sq.topAssignment.name)
-    val skew = Routes.run(sq.program, catalog ++ shredded, Optimizer.none,
-      SkewOps.skewJoin(SkewConfig(sampleFraction = 1.0)))(sq.topAssignment.name)
+    val base = Routes.run(sq, catalog ++ shredded, Optimizer.none)(sq.assignments.head.name)
+    val skew = Routes.run(sq, catalog ++ shredded, Optimizer.none,
+      SkewOps.skewJoin(SkewConfig(sampleFraction = 1.0)))(sq.assignments.head.name)
     TestUtil.assertBagEq(skew, base)
   }
 }
