@@ -4,8 +4,9 @@ import repro.SparkSpec
 import Harness._
 
 /** One ScalaTest suite per evaluation table (DESIGN.md T1–T11); each prints
-  * the paper-style table rows and asserts basic sanity. Scale via BENCH_SF
-  * (default 0.1) and BENCH_TIMEOUT_S (default 300).
+  * the paper-style table rows, asserts basic sanity, and asserts that the
+  * table leaves no cached data behind. Scale via BENCH_SF (default 0.1) and
+  * BENCH_TIMEOUT_S (default 300).
   */
 
 /** Runs table `id` of [[Exhibits]] and asserts `sanityCheck` on its rows. */
@@ -13,7 +14,9 @@ abstract class TableBench(id: String, sanityCheck: Seq[Result] => Boolean = _.no
     extends SparkSpec {
   private val exhibit = Exhibits(id)
   test(s"$id: ${exhibit.title}") {
+    val persisted = spark.sparkContext.getPersistentRDDs.size
     assert(sanityCheck(exhibit.report(spark, sf)))
+    assert(spark.sparkContext.getPersistentRDDs.size == persisted)
   }
 }
 
@@ -38,6 +41,7 @@ class E1RddVsDatasetBench     extends TableBench("T11")
 
 class AppDSharingBench extends SparkSpec {
   test("T7: App. D succinct representation / sharing counts") {
+    val persisted = spark.sparkContext.getPersistentRDDs.size
     val c = AppD.run(spark, sf)
     println(s"\n==== T7 AppD sharing ====")
     println(s"| occurrence tuples            | ${c.occurrences}")
@@ -46,5 +50,6 @@ class AppDSharingBench extends SparkSpec {
     println(f"| reduction factor             | ${c.flattenedCandidates.toDouble / math.max(1, c.dictCandidates)}%.2fx")
     println(s"==== end T7 ====")
     assert(c.dictCandidates <= c.flattenedCandidates)
+    assert(spark.sparkContext.getPersistentRDDs.size == persisted)
   }
 }

@@ -19,17 +19,15 @@ object AppD {
   final case class Counts(occurrences: Long, flattenedCandidates: Long,
                           dictCandidates: Long)
 
-  def run(spark: SparkSession, sf: Double): Counts = {
+  def run(spark: SparkSession, sf: Double): Counts = cached { keep =>
     val bio = BioData.tables(spark, sf)
-    val occ = bio.occurrences.persist(); occ.count()
+    val occ = keep(bio.occurrences)
     val dict = bio.occurrencesShredded(ShredTypes.dictName("Occurrences", Seq("candidates")))
     val occF = bio.occurrencesShredded(ShredTypes.topName("Occurrences"))
     val flattened = occ.select(explode(col("candidates"))).count()
     val used = dict.join(occF.select(col("candidates")).distinct(),
       dict(ShredTypes.LabelCol) === col("candidates")).count()
-    val c = Counts(occ.count(), flattened, used)
-    occ.unpersist()
-    c
+    Counts(occ.count(), flattened, used)
   }
 }
 
@@ -38,9 +36,9 @@ object AppD {
   */
 object E4 {
 
-  def run(spark: SparkSession, sf: Double): Seq[Result] = {
+  def run(spark: SparkSession, sf: Double): Seq[Result] = cached { keep =>
     val out = Seq.newBuilder[Result]
-    val t = NestedTpch.tables(spark, sf).map(materialize)
+    val t = NestedTpch.tables(spark, sf).map(keep)
     val flatCat = NestedTpch.catalog(t)
 
     for (wide <- Seq(false, true); level <- 0 to 2) {
@@ -51,8 +49,8 @@ object E4 {
           force(Routes.standard(TpchQueries.flatToNested(level, wide), flatCat, Optimizer.level(opt)))
         }
       }
-      if (level >= 1) {
-        val nested = materialize(NestedTpch.nestedInput(t, level, wide = true))
+      if (level >= 1) cached { keep =>
+        val nested = keep(NestedTpch.nestedInput(t, level, wide = true))
         val cat = flatCat + (NestedTpch.inputName(level, wide) -> nested)
         for (opt <- 0 to 2) {
           val strat = Seq("Std(no opt)", "Std(proj)", "Std(full)")(opt)
@@ -60,10 +58,8 @@ object E4 {
             force(Routes.standard(TpchQueries.nestedToNested(level, wide), cat, Optimizer.level(opt)))
           }
         }
-        nested.unpersist()
       }
     }
-    t.all.foreach(_.unpersist())
     out.result()
   }
 }
@@ -71,22 +67,19 @@ object E4 {
 /** App. E.1 — RDD vs Dataset executors on identical plans. */
 object E1 {
 
-  def run(spark: SparkSession, sf: Double): Seq[Result] = {
+  def run(spark: SparkSession, sf: Double): Seq[Result] = cached { keep =>
     val out = Seq.newBuilder[Result]
-    val t = NestedTpch.tables(spark, sf).map(materialize)
+    val t = NestedTpch.tables(spark, sf).map(keep)
     val flatCat = NestedTpch.catalog(t)
 
     for (level <- 0 to 2) {
       for ((family, mkQ) <- Seq(
         "flat-to-nested" -> ((l: Int) => TpchQueries.flatToNested(l, wide = false)),
-        "nested-to-nested" -> ((l: Int) => TpchQueries.nestedToNested(l, wide = false)))) {
-        val (cat, cleanup) =
-          if (family == "flat-to-nested" || level == 0) (flatCat, () => ())
-          else {
-            val nested = materialize(NestedTpch.nestedInput(t, level, wide = false))
-            (flatCat + (NestedTpch.inputName(level, wide = false) -> nested),
-              () => { nested.unpersist(); () })
-          }
+        "nested-to-nested" -> ((l: Int) => TpchQueries.nestedToNested(l, wide = false)))) cached { keep =>
+        val cat =
+          if (family == "flat-to-nested" || level == 0) flatCat
+          else flatCat + (NestedTpch.inputName(level, wide = false) ->
+            keep(NestedTpch.nestedInput(t, level, wide = false)))
         val plan = Optimizer.full(Unnester.compile(mkQ(level)))
         out += measure(spark, "E1", s"$family L$level narrow", "Dataset") {
           force(new SparkExecutor(cat).execute(plan))
@@ -99,10 +92,8 @@ object E1 {
           new RddExecutor(rddCat).execute(plan).foreach(_ => ())
         }
         rddCat.values.foreach(_.unpersist())
-        cleanup()
       }
     }
-    t.all.foreach(_.unpersist())
     out.result()
   }
 }

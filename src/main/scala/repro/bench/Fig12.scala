@@ -12,12 +12,11 @@ object Fig12 {
 
   def run(spark: SparkSession, sfSmall: Double, sfLarge: Double): Seq[Result] = {
     val out = Seq.newBuilder[Result]
-    for ((szName, sf) <- Seq("small" -> sfSmall, "large" -> sfLarge)) {
+    for ((szName, sf) <- Seq("small" -> sfSmall, "large" -> sfLarge)) cached { keep =>
       val bio = BioData.tables(spark, sf)
-      val cat = BioData.catalog(bio).map { case (k, v) => k -> materialize(v) }
+      val cat = BioData.catalog(bio).map { case (k, v) => k -> keep(v) }
       for ((qn, q) <- BioQueries.clinical)
         out ++= measureRoutes(spark, "Fig12", s"$qn $szName", query(q), cat)
-      cat.values.foreach(_.unpersist())
     }
     out.result()
   }

@@ -1,6 +1,6 @@
 package repro.bench
 
-import java.util.concurrent.TimeoutException
+import java.util.concurrent.{ConcurrentLinkedQueue, TimeoutException}
 import scala.concurrent.{Await, Future}
 import scala.concurrent.duration._
 import scala.concurrent.ExecutionContext.Implicits.global
@@ -81,11 +81,10 @@ object Harness {
     * light/heavy skew join, and its strategy names end in `_skew`.
     *
     * Standard caches an output only if a later assignment reads it, and
-    * forces the others. Everything this call cached is released before it
-    * returns, also after a run that failed part-way. An output whose plan
-    * was cached already (T4's top bag passes its shredded input through)
-    * shares that cache entry and is not released: `unpersist` would evict
-    * the input too.
+    * forces the others. The steps run in one `cached` scope, so everything
+    * this call cached is released before it returns, also after a run that
+    * failed part-way, and an input whose plan an output shares (T4's top
+    * bag passes its shredded input through) stays cached.
     */
   def measureRoutes(spark: SparkSession, table: String, config: String, p: Program,
                     cat: Map[String, DataFrame],
@@ -93,13 +92,6 @@ object Harness {
                     skew: Boolean = false, unshred: Boolean = true): Seq[Result] = {
     val joinImpl = if (skew) SkewOps.skewJoin() else SparkExecutor.defaultJoin
     val read = p.assignments.flatMap(a => NRC.inputs(a.expr)).toSet
-    val cached = Seq.newBuilder[DataFrame]
-    def keep(df: DataFrame): DataFrame = {
-      val shared = df.storageLevel != StorageLevel.NONE
-      val m = materialize(df)
-      if (!shared) cached += m
-      m
-    }
     // One row per assignment; `step` returns the catalog the next step reads.
     def steps(strategy: String)(step: (Assignment, Map[String, DataFrame]) => Map[String, DataFrame]) = {
       var c = cat
@@ -109,18 +101,19 @@ object Harness {
       }
       (rows, c)
     }
-    val (std, _) = steps("Standard") { (a, c) =>
-      val df = Routes.standard(a.expr, c, optimize, joinImpl)
-      if (read(a.name)) c + (a.name -> keep(df)) else { force(df); c }
+    cached { keep =>
+      val (std, _) = steps("Standard") { (a, c) =>
+        val df = Routes.standard(a.expr, c, optimize, joinImpl)
+        if (read(a.name)) c + (a.name -> keep(df)) else { force(df); c }
+      }
+      val (shred, shredCat) = steps("Shred") { (a, c) =>
+        Routes.run(Shredder.shred(a.name, a.expr), c, optimize, joinImpl, (_, df) => keep(df))
+      }
+      val unsh = if (unshred) steps("Unshred") { (a, c) =>
+        force(Unshredder.unshred(a.name, a.expr.asBag, shredCat)); c
+      }._1 else Nil
+      std ++ shred ++ unsh
     }
-    val (shred, shredCat) = steps("Shred") { (a, c) =>
-      Routes.run(Shredder.shred(a.name, a.expr), c, optimize, joinImpl, (_, df) => keep(df))
-    }
-    val unsh = if (unshred) steps("Unshred") { (a, c) =>
-      force(Unshredder.unshred(a.name, a.expr.asBag, shredCat)); c
-    }._1 else Nil
-    cached.result().foreach(_.unpersist())
-    std ++ shred ++ unsh
   }
 
   /** `q` as a program of one assignment, named `OUT`. */
@@ -130,13 +123,25 @@ object Harness {
   def force(df: DataFrame): Unit =
     df.write.format("noop").mode("overwrite").save()
 
-  /** Persist and materialize (input caching, untimed — paper counts runtime
-    * after caching inputs).
+  /** Runs `body` in a cache scope (§6 times routes over cached inputs, and
+    * Shred materializes every dictionary). `keep(df)` persists `df`, fills
+    * its cache with `force` (a `count()` would add an exchange of its own,
+    * billed to the row that caches) and returns it; it fills also when the
+    * plan is cached already. When `body` returns or throws, every
+    * DataFrame `keep` cached is released, one whose fill failed included.
+    * A DataFrame whose plan was cached already when `keep` saw it shares
+    * that cache entry and is not released: `unpersist` drops every entry
+    * of the same plan, so it would evict the earlier one too. `keep` may
+    * run on another thread, such as `measure`'s action thread.
     */
-  def materialize(df: DataFrame): DataFrame = {
-    val p = df.persist()
-    p.count()
-    p
+  def cached[A](body: (DataFrame => DataFrame) => A): A = {
+    val kept = new ConcurrentLinkedQueue[DataFrame]
+    def keep(df: DataFrame): DataFrame = {
+      if (df.storageLevel == StorageLevel.NONE) kept.add(df)
+      force(df.persist())
+      df
+    }
+    try body(keep) finally kept.forEach(_.unpersist())
   }
 
   def printTable(title: String, rows: Seq[Result]): Unit = {

@@ -22,8 +22,10 @@ import repro.shred.{ShredTypes, Unshredder}
   *     columns (input to Standard and the SparkSQL baseline), built by
   *     unshredding the shredded input.
   *
-  * `skewFactor` 0–4 controls Zipf skew in Lineitem keys (paper's skewed
-  * generator substitute; see DESIGN.md).
+  * `skewFactor` s (0–4) puts heavy keys in Lineitem (the paper's skewed
+  * generator substitute; see DESIGN.md): 15 %·s of rows get an `l_orderkey`
+  * drawn uniformly from 1–5 and, independently, 15 %·s an `l_partkey` from
+  * 1–5, so each heavy key holds 3 %·s of the bag.
   */
 object NestedTpch {
 
@@ -32,7 +34,6 @@ object NestedTpch {
 
   final case class Tables(lineitem: DataFrame, orders: DataFrame, customer: DataFrame,
                           nation: DataFrame, region: DataFrame, part: DataFrame) {
-    def all: Seq[DataFrame] = Seq(lineitem, orders, customer, nation, region, part)
     def map(f: DataFrame => DataFrame): Tables =
       Tables(f(lineitem), f(orders), f(customer), f(nation), f(region), f(part))
   }

@@ -4,6 +4,8 @@ import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import scala.jdk.CollectionConverters._
 import org.apache.spark.JobExecutionStatus
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.storage.StorageLevel
 import repro.{SparkSpec, TestData}
 import repro.core.plan.Optimizer
 import repro.data.{BioData, NestedTpch}
@@ -110,25 +112,23 @@ class HarnessSpec extends SparkSpec {
   test("measureRoutes keeps a cached input whose plan a Shred output shares") {
     // T4's top bag passes COP2n__F through, so OUT__F shares its cache entry.
     val t = TestData.tables(spark)
-    val nested = Harness.materialize(NestedTpch.nestedInput(t, 2, wide = false))
-    val shredded = NestedTpch.shreddedInput(t, 2, wide = false)
-      .map { case (k, v) => k -> Harness.materialize(v) }
-    val cat = NestedTpch.catalog(t) + (NestedTpch.inputName(2, wide = false) -> nested) ++ shredded
-    try {
+    Harness.cached { keep =>
+      val nested = keep(NestedTpch.nestedInput(t, 2, wide = false))
+      val shredded = NestedTpch.shreddedInput(t, 2, wide = false).map { case (k, v) => k -> keep(v) }
+      val cat = NestedTpch.catalog(t) + (NestedTpch.inputName(2, wide = false) -> nested) ++ shredded
       val rows = Harness.measureRoutes(spark, "T", "L2",
         Harness.query(TpchQueries.nestedToNested(2, wide = false)), cat, unshred = false)
       assert(rows.forall(_.ok), rows)
       val evicted = shredded.collect { case (k, v) if !v.storageLevel.useMemory => k }
       assert(evicted.isEmpty, s"evicted inputs: $evicted")
-    } finally (shredded.values.toSeq :+ nested).foreach(_.unpersist())
+    }
   }
 
   test("measureRoutes measures a program step by step, and a step after a failed one fails") {
     // BioRouteSpec's scale; each step reads the one before it (Step 3 reads
     // Steps 1 and 2).
-    val cat = BioData.catalog(BioData.tables(spark, sf = 0.003))
-      .map { case (k, v) => k -> Harness.materialize(v) }
-    try {
+    Harness.cached { keep =>
+      val cat = BioData.catalog(BioData.tables(spark, sf = 0.003)).map { case (k, v) => k -> keep(v) }
       val persisted = spark.sparkContext.getPersistentRDDs.size
       val steps = (1 to 5).map(i => s"Step$i")
       val rows = Harness.measureRoutes(spark, "T5", "Step", BioQueries.e2e, cat, unshred = false)
@@ -141,7 +141,59 @@ class HarnessSpec extends SparkSpec {
       assert(failed.map(r => (r.config, r.strategy)) == rows.map(r => (r.config, r.strategy))
         && failed.forall(!_.ok), failed)
       assert(spark.sparkContext.getPersistentRDDs.size == persisted)
-    } finally cat.values.foreach(_.unpersist())
+    }
+  }
+
+  /** The persistent RDDs and the storage level of each of `dfs`. */
+  private def cacheState(dfs: DataFrame*) =
+    (spark.sparkContext.getPersistentRDDs.keySet, dfs.map(_.storageLevel))
+
+  test("a cache scope releases what it cached when its body returns, when it throws, and when a fill fails") {
+    val ok = spark.range(0, 100, 1, 4).toDF("id")
+    val failing = spark.range(0, 100, 1, 4).selectExpr("id", "raise_error('fill failed') AS e")
+    val before = cacheState(ok, failing)
+    assert(Harness.cached(keep => keep(ok).count()) == 100)
+    assert(cacheState(ok, failing) == before)
+    val body = intercept[IllegalStateException](Harness.cached { keep =>
+      keep(ok)
+      throw new IllegalStateException("body failed")
+    })
+    assert(body.getMessage == "body failed")
+    assert(cacheState(ok, failing) == before)
+    val fill = intercept[Exception](Harness.cached(keep => keep(failing)))
+    assert(fill.getMessage.contains("fill failed"), fill)
+    assert(cacheState(ok, failing) == before)
+  }
+
+  test("keep fills every partition of the cache and bills no shuffle to a plan without one") {
+    val df = spark.range(0, 1000, 1, 8).selectExpr("id", "id * 2 AS x")
+    Harness.cached { keep =>
+      val persisted = spark.sparkContext.getPersistentRDDs.keySet
+      val r = Harness.measure(spark, "T", "keep", "S") { keep(df) }
+      assert(r.ok && r.shuffleMB == 0, r)
+      val Seq(id) = (spark.sparkContext.getPersistentRDDs.keySet -- persisted).toSeq
+      // The status store hears of cached blocks on its own listener queue.
+      def info = spark.sparkContext.getRDDStorageInfo.find(_.id == id)
+      val deadline = System.nanoTime() + 10L * 1000 * 1000 * 1000
+      while (!info.exists(_.numCachedPartitions == 8) && System.nanoTime() < deadline) Thread.sleep(50)
+      assert(info.exists(i => i.numPartitions == 8 && i.numCachedPartitions == 8), info)
+    }
+  }
+
+  test("an inner cache scope releases only what it cached, and keeps what was cached before it opened") {
+    val outer = spark.range(0, 10, 1, 2).toDF("a")
+    val inner = spark.range(0, 20, 1, 2).toDF("b")
+    val before = cacheState(outer, inner)
+    Harness.cached { keep =>
+      keep(outer)
+      Harness.cached { keep =>
+        keep(outer) // shares the outer scope's entry
+        keep(inner)
+        assert(outer.storageLevel.useMemory && inner.storageLevel.useMemory)
+      }
+      assert(outer.storageLevel.useMemory && inner.storageLevel == StorageLevel.NONE)
+    }
+    assert(cacheState(outer, inner) == before)
   }
 
   test("exhibit ids are unique, and an unknown id fails listing the valid ones") {
